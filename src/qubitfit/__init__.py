@@ -25,7 +25,6 @@ from .circuit import (
     circuit_expectation_grid,
     expectation,
     prepare_state,
-    rotation_matrix,
 )
 from .fileio import (
     ParamsFileError,
@@ -49,7 +48,6 @@ from .verify import SuiteResult, run_suites
 __all__ = [
     "CircuitParams",
     "StateVector",
-    "rotation_matrix",
     "prepare_state",
     "expectation",
     "circuit_expectation",

@@ -63,15 +63,16 @@ class FitResult:
     evals: int
 
 
-def _random_vector(rng: np.random.Generator) -> np.ndarray:
+def random_vector(rng: np.random.Generator) -> np.ndarray:
+    """Draw [theta1, theta2, g0..g3]: angles uniform on (-pi, pi), diagonal on (-2, 2)."""
     theta = rng.uniform(-math.pi, math.pi, 2)
     g = rng.uniform(-2.0, 2.0, 4)
     return np.concatenate([theta, g])
 
 
 def random_init(seed: int) -> CircuitParams:
-    """Random starting point: angles uniform on (-pi, pi), diagonal on (-2, 2)."""
-    return CircuitParams.from_vector(_random_vector(np.random.default_rng(seed)))
+    """Random starting point: :func:`random_vector` drawn from a fresh generator."""
+    return CircuitParams.from_vector(random_vector(np.random.default_rng(seed)))
 
 
 def _run_restart(
@@ -81,7 +82,7 @@ def _run_restart(
     restart_seed: int,
 ) -> tuple[np.ndarray, float, list[tuple[int, float]], int]:
     rng = np.random.default_rng(restart_seed)
-    point = cfg.init.as_vector() if cfg.init is not None else _random_vector(rng)
+    point = cfg.init.as_vector() if cfg.init is not None else random_vector(rng)
 
     def index_at(v: np.ndarray) -> float:
         return performance_index(CircuitParams.from_vector(v), target, grid)

@@ -16,6 +16,12 @@ The diagonal entry g_b pairs with amplitude index b. This convention is
 shared with the closed-form expressions in :mod:`qubitfit.analytic` and
 must not be changed in one place only.
 
+The circuit is a product of two single-qubit circuits, so one helper
+computes the per-qubit amplitudes for scalar or array inputs. The state
+is their Kronecker product, and the output is evaluated by one kernel,
+:func:`circuit_expectation_grid`; the scalar :func:`circuit_expectation`
+is that kernel on a batch of one, so the two cannot drift apart.
+
 All functions here are pure and all values immutable after construction,
 so concurrent use needs no synchronization.
 """
@@ -109,27 +115,27 @@ class StateVector:
         return float(np.real(np.vdot(self.amp, self.amp)))
 
 
-def rotation_matrix(phi: float) -> np.ndarray:
-    """Real rotation [[cos(phi/2), -sin(phi/2)], [sin(phi/2), cos(phi/2)]].
+def _qubit_amplitudes(phi):
+    """Amplitudes of R(phi) H |0>: ((c - s), (c + s)) / sqrt(2) at half-angle phi/2.
 
-    Orthogonal with determinant +1 for any finite ``phi``.
+    ``phi`` may be a scalar or an array; the arithmetic is the same either way.
     """
     half = 0.5 * phi
-    c, s = math.cos(half), math.sin(half)
-    return np.array([[c, -s], [s, c]])
+    c, s = np.cos(half), np.sin(half)
+    return (c - s) * _SQRT1_2, (c + s) * _SQRT1_2
 
 
 def prepare_state(params: CircuitParams, x: float) -> StateVector:
-    """Apply the circuit unitary to |00> by explicit 4x4 linear algebra.
+    """The circuit's two-qubit state at input x.
 
-    (H (x) H)|00> is the uniform state (1,1,1,1)/2; the Kronecker product
-    of the two rotation factors is then applied as a dense matrix.
+    (H (x) H)|00> is the product of two |+> states, and each rotation
+    acts on its own qubit, so the state is the Kronecker product of the
+    two single-qubit amplitude pairs (for vectors, the flattened outer
+    product, which is much cheaper than ``np.kron``).
     """
-    r_first = rotation_matrix(x - params.theta2)
-    r_second = rotation_matrix(x - params.theta1)
-    u = np.kron(r_first, r_second).astype(complex)
-    amp = u @ np.full(4, 0.5, dtype=complex)
-    return StateVector(amp)
+    first = _qubit_amplitudes(x - params.theta2)
+    second = _qubit_amplitudes(x - params.theta1)
+    return StateVector(np.outer(first, second).ravel())
 
 
 def expectation(state: StateVector, g: np.ndarray) -> float:
@@ -145,31 +151,28 @@ def expectation(state: StateVector, g: np.ndarray) -> float:
 
 
 def circuit_expectation(params: CircuitParams, x: float) -> float:
-    """The circuit's scalar output at input x: prepare, then measure.
+    """The circuit's scalar output at input x: a batch of one on the grid route.
 
     Smooth and 2*pi-periodic in x, bounded by [min(g), max(g)].
     """
-    return expectation(prepare_state(params, x), params.g)
+    return float(circuit_expectation_grid(params, x))
 
 
 def circuit_expectation_grid(params: CircuitParams, xs: np.ndarray) -> np.ndarray:
-    """Batched :func:`circuit_expectation` over an array of inputs.
+    """Circuit output over an array of inputs (or a scalar).
 
-    Same simulator arithmetic (amplitudes, then probabilities) vectorized
-    over the grid; agrees with the scalar path to a few ulp. This is what
-    the objective evaluates, so it stays on the amplitude route rather
-    than any closed-form shortcut.
+    Per-qubit amplitudes, then probabilities, then the expectation of the
+    diagonal observable, vectorized over the inputs. This is what the
+    objective evaluates, so it stays on the amplitude route rather than
+    any closed-form shortcut.
     """
     xs = np.asarray(xs, dtype=float)
-    h_second = 0.5 * (xs - params.theta1)
-    h_first = 0.5 * (xs - params.theta2)
-    c1, s1 = np.cos(h_second), np.sin(h_second)
-    c2, s2 = np.cos(h_first), np.sin(h_first)
-    # single-qubit amplitudes after R(phi) H |0>: ((c - s), (c + s)) / sqrt(2)
-    p_second0 = np.square((c1 - s1) * _SQRT1_2)
-    p_second1 = np.square((c1 + s1) * _SQRT1_2)
-    p_first0 = np.square((c2 - s2) * _SQRT1_2)
-    p_first1 = np.square((c2 + s2) * _SQRT1_2)
+    a_second0, a_second1 = _qubit_amplitudes(xs - params.theta1)
+    a_first0, a_first1 = _qubit_amplitudes(xs - params.theta2)
+    p_second0 = np.square(a_second0)
+    p_second1 = np.square(a_second1)
+    p_first0 = np.square(a_first0)
+    p_first1 = np.square(a_first1)
     g = params.g
     return (
         g[0] * p_first0 * p_second0

@@ -30,14 +30,22 @@ from .fileio import (
     write_trace_csv,
 )
 from .objective import get_target, make_grid, max_pointwise_error, performance_index
-from .reproduce import DEFAULT_ITERATIONS, DEFAULT_RESTARTS, run_reproduction
-from .svgplot import write_line_plot
+from .reproduce import (
+    DEFAULT_ITERATIONS,
+    DEFAULT_N,
+    DEFAULT_RESTARTS,
+    DEFAULT_X0,
+    run_reproduction,
+    write_comparison_plot,
+)
+from .svgplot import write_line_plot  # noqa: F401  (traced by perfbench/spans.py)
 from .verify import run_suites
 
 CONFIG_NAME = "qubitfit.conf"
 SEED_ENV = "QUBITFIT_SEED"
 DEFAULT_SEED = 42
-PLOT_POINTS = 200
+# every key _resolve reads; anything else in a config file is a typo
+CONFIG_KEYS = frozenset({"n", "x0", "iterations", "restarts", "seed", "out_dir", "trials"})
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -50,19 +58,20 @@ class CliError(Exception):
 
 def _load_config(args) -> dict[str, str]:
     path = getattr(args, "config", None)
-    if path is not None:
-        if not Path(path).is_file():
-            raise CliError(f"config file not found: {path}")
-        try:
-            return read_config(path)
-        except ParamsFileError as exc:
-            raise CliError(f"bad config file {path}: {exc}") from exc
-    if Path(CONFIG_NAME).is_file():
-        try:
-            return read_config(CONFIG_NAME)
-        except ParamsFileError as exc:
-            raise CliError(f"bad config file {CONFIG_NAME}: {exc}") from exc
-    return {}
+    if path is None:
+        if not Path(CONFIG_NAME).is_file():
+            return {}
+        path = CONFIG_NAME
+    elif not Path(path).is_file():
+        raise CliError(f"config file not found: {path}")
+    try:
+        config = read_config(path)
+    except ParamsFileError as exc:
+        raise CliError(f"bad config file {path}: {exc}") from exc
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise CliError(f"unknown key(s) in config file {path}: {', '.join(unknown)}")
+    return config
 
 
 def _resolve(args, config, key, cast, default):
@@ -116,25 +125,11 @@ def _load_params(path: str):
         raise CliError(f"bad parameter file {path}: {exc}") from exc
 
 
-def _write_comparison_plot(path, target, params, x0: float) -> None:
-    dense = np.linspace(-x0, x0, PLOT_POINTS)
-    write_line_plot(
-        path,
-        dense,
-        [
-            (f"target {target.id}", target(dense), "#cc0000"),
-            ("approximation", circuit_expectation_grid(params, dense), "#000000"),
-        ],
-        title=f"{target.id}: target vs circuit approximation",
-        xlabel="x",
-    )
-
-
 def cmd_fit(args) -> int:
     config = _load_config(args)
     target = _make_target(args)
-    n = _resolve(args, config, "n", int, 30)
-    x0 = _resolve(args, config, "x0", float, 1.5)
+    n = _resolve(args, config, "n", int, DEFAULT_N)
+    x0 = _resolve(args, config, "x0", float, DEFAULT_X0)
     iterations = _resolve(args, config, "iterations", int, DEFAULT_ITERATIONS)
     restarts = _resolve(args, config, "restarts", int, DEFAULT_RESTARTS)
     seed = _resolve(args, config, "seed", int, DEFAULT_SEED)
@@ -142,10 +137,12 @@ def cmd_fit(args) -> int:
     try:
         grid = make_grid(n, x0)
         cfg = OptimizerConfig(iterations=iterations, restarts=restarts, seed=seed)
+        # a non-finite index is reported as an error, so numpy's overflow warnings are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = optimize(target, grid, cfg)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    result = optimize(target, grid, cfg)
     stem = target.id
     try:
         write_params_file(out / f"{stem}.params", result.best)
@@ -157,7 +154,7 @@ def cmd_fit(args) -> int:
         )
         write_trace_csv(out / f"{stem}_trace.csv", result.j_trace)
         write_summary(out / f"{stem}_summary.txt", result.j_final, result.max_error, result.evals, seed)
-        _write_comparison_plot(out / f"{stem}.svg", target, result.best, x0)
+        write_comparison_plot(out / f"{stem}.svg", target, result.best, x0)
     except OSError as exc:
         raise CliError(f"cannot write outputs to {out}: {exc}") from exc
 
@@ -171,8 +168,8 @@ def cmd_eval(args) -> int:
     config = _load_config(args)
     params = _load_params(args.params_file)
     target = _make_target(args)
-    n = _resolve(args, config, "n", int, 30)
-    x0 = _resolve(args, config, "x0", float, 1.5)
+    n = _resolve(args, config, "n", int, DEFAULT_N)
+    x0 = _resolve(args, config, "x0", float, DEFAULT_X0)
     out = _out_dir(args, config)
     try:
         grid = make_grid(n, x0)
@@ -207,9 +204,10 @@ def cmd_verify(args) -> int:
     config = _load_config(args)
     trials = _resolve(args, config, "trials", int, 1000)
     seed = _resolve(args, config, "seed", int, DEFAULT_SEED)
-    if trials < 1:
-        raise CliError(f"trials must be >= 1, got {trials}")
-    results = run_suites(trials, seed)
+    try:
+        results = run_suites(trials, seed)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     ok = True
     for res in results:
         if res.passed:
@@ -228,6 +226,8 @@ def cmd_reproduce(args) -> int:
     out = Path(_resolve(args, config, "out_dir", str, "reproduction"))
     try:
         report = run_reproduction(out, seed=seed, iterations=iterations, restarts=restarts)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     except OSError as exc:
         raise CliError(f"cannot write outputs to {out}: {exc}") from exc
     print(report.table_path.read_text(encoding="utf-8"))
@@ -251,8 +251,8 @@ def _add_target(sub):
     sub.add_argument("--target", required=True, choices=["quadratic", "gaussian", "sigmoid", "custom"],
                      help="target function to approximate")
     sub.add_argument("--poly", help="comma-separated polynomial coefficients, ascending; required for --target custom")
-    sub.add_argument("--n", type=int, help="number of grid samples (default 30)")
-    sub.add_argument("--x0", type=float, help="half-width of the sample interval (default 1.5)")
+    sub.add_argument("--n", type=int, help=f"number of grid samples (default {DEFAULT_N})")
+    sub.add_argument("--x0", type=float, help=f"half-width of the sample interval (default {DEFAULT_X0:g})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,8 +10,8 @@ Two passes per target (quadratic, gaussian, sigmoid):
   x0 = 1.5, 5000 iterations, 10 restarts) and require the achieved index
   to beat a fixed threshold.
 
-Writes a markdown table, one comparison plot per target, and the
-retrained parameter sets.
+Writes a markdown table, two comparison plots per target (published and
+retrained parameters), and the retrained parameter sets.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .chemotaxis import FitResult, OptimizerConfig, optimize
 from .circuit import CircuitParams, circuit_expectation_grid
 from .fileio import parse_params, write_params_file
-from .objective import get_target, make_grid, max_pointwise_error, performance_index
+from .objective import TargetFunction, get_target, make_grid, max_pointwise_error, performance_index
 from .svgplot import write_line_plot
 
 EXPERIMENT_TARGETS = ("quadratic", "gaussian", "sigmoid")
@@ -45,31 +45,33 @@ DEFAULT_RESTARTS = 10
 PLOT_POINTS = 200
 
 
-@dataclass(frozen=True)
-class FitTask:
-    """A self-contained training job description."""
-
-    target_id: str
-    n: int = DEFAULT_N
-    x0: float = DEFAULT_X0
-    iterations: int = DEFAULT_ITERATIONS
-    restarts: int = DEFAULT_RESTARTS
-    seed: int = 42
-
-
-def run_fit_task(task: FitTask, workers: int = 1) -> FitResult:
-    target = get_target(task.target_id)
-    grid = make_grid(task.n, task.x0)
-    cfg = OptimizerConfig(iterations=task.iterations, restarts=task.restarts, seed=task.seed)
-    return optimize(target, grid, cfg, workers=workers)
-
-
 def published_params(target_id: str) -> CircuitParams:
     """Load the bundled reference parameter set for a builtin target."""
     if target_id not in EXPERIMENT_TARGETS:
         raise ValueError(f"no bundled parameters for target {target_id!r}")
     text = (resources.files("qubitfit.data.paper") / f"{target_id}.params").read_text("utf-8")
     return parse_params(text)
+
+
+def write_comparison_plot(
+    path: str | Path,
+    target: TargetFunction,
+    params: CircuitParams,
+    x0: float = DEFAULT_X0,
+    label: str = "approximation",
+) -> None:
+    """SVG of the target against the circuit at ``params`` on a dense grid over [-x0, x0]."""
+    dense = np.linspace(-x0, x0, PLOT_POINTS)
+    write_line_plot(
+        path,
+        dense,
+        [
+            (f"target {target.id}", target(dense), "#cc0000"),
+            (label, circuit_expectation_grid(params, dense), "#000000"),
+        ],
+        title=f"{target.id}: target vs circuit approximation",
+        xlabel="x",
+    )
 
 
 @dataclass(frozen=True)
@@ -117,12 +119,11 @@ def run_reproduction(
     seed: int = 42,
     iterations: int = DEFAULT_ITERATIONS,
     restarts: int = DEFAULT_RESTARTS,
-    workers: int = 1,
 ) -> ReproductionReport:
+    cfg = OptimizerConfig(iterations=iterations, restarts=restarts, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = make_grid(DEFAULT_N, DEFAULT_X0)
-    dense = np.linspace(-DEFAULT_X0, DEFAULT_X0, PLOT_POINTS)
 
     rows: list[ReportRow] = []
     for target_id in EXPERIMENT_TARGETS:
@@ -138,12 +139,13 @@ def run_reproduction(
                 threshold=PUBLISHED_THRESHOLD[target_id],
             )
         )
+        write_comparison_plot(out / f"{target_id}_published.svg", target, params,
+                              label="published parameters")
 
     fits: dict[str, FitResult] = {}
     t0 = time.perf_counter()
     for target_id in EXPERIMENT_TARGETS:
-        task = FitTask(target_id, iterations=iterations, restarts=restarts, seed=seed)
-        fits[target_id] = run_fit_task(task, workers=workers)
+        fits[target_id] = optimize(get_target(target_id), grid, cfg)
     retrain_seconds = time.perf_counter() - t0
 
     for target_id in EXPERIMENT_TARGETS:
@@ -159,17 +161,7 @@ def run_reproduction(
             )
         )
         write_params_file(out / f"{target_id}.params", fit.best)
-        target = get_target(target_id)
-        write_line_plot(
-            out / f"{target_id}.svg",
-            dense,
-            [
-                (f"target {target_id}", target(dense), "#cc0000"),
-                ("approximation", circuit_expectation_grid(fit.best, dense), "#000000"),
-            ],
-            title=f"{target_id}: target vs circuit approximation",
-            xlabel="x",
-        )
+        write_comparison_plot(out / f"{target_id}.svg", get_target(target_id), fit.best)
 
     table_path = out / "report.md"
     header = (

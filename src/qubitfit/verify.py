@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import closed_form_expectation, cubic_remainder
-from .chemotaxis import _random_vector
+from .chemotaxis import random_vector
 from .circuit import CircuitParams, circuit_expectation, prepare_state
 
 EQUIV_TOL = 1e-12
@@ -48,7 +48,7 @@ def _draws(trials: int, seed: int) -> list[tuple[int, CircuitParams, float]]:
     for i in range(trials):
         draw_seed = seed + i
         rng = np.random.default_rng(draw_seed)
-        params = CircuitParams.from_vector(_random_vector(rng))
+        params = CircuitParams.from_vector(random_vector(rng))
         x = float(rng.uniform(-math.pi, math.pi))
         out.append((draw_seed, params, x))
     return out
@@ -67,6 +67,8 @@ def run_suites(trials: int, seed: int) -> list[SuiteResult]:
     """Run all four suites on the same ``trials`` draws."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     draws = _draws(trials, seed)
     results = []
 

@@ -12,7 +12,6 @@ from qubitfit import (
     circuit_expectation_grid,
     expectation,
     prepare_state,
-    rotation_matrix,
 )
 
 from conftest import random_params
@@ -22,22 +21,6 @@ angles = st.floats(min_value=-math.pi, max_value=math.pi)
 inputs = st.floats(min_value=-4.0, max_value=4.0)
 diag_entries = st.floats(min_value=-2.0, max_value=2.0)
 diagonals = st.tuples(diag_entries, diag_entries, diag_entries, diag_entries)
-
-
-def test_rotation_at_zero_is_identity():
-    assert np.array_equal(rotation_matrix(0.0), np.eye(2))
-
-
-@given(angles, angles)
-def test_rotation_composes_additively(a, b):
-    assert np.allclose(rotation_matrix(a) @ rotation_matrix(b), rotation_matrix(a + b), atol=1e-12)
-
-
-@given(angles)
-def test_rotation_is_special_orthogonal(phi):
-    r = rotation_matrix(phi)
-    assert np.allclose(r.T @ r, np.eye(2), atol=1e-15)
-    assert math.isclose(float(np.linalg.det(r)), 1.0, abs_tol=1e-15)
 
 
 def test_state_at_center_is_uniform():
@@ -103,7 +86,7 @@ def test_grid_route_matches_scalar_route():
     for _ in range(25):
         p = random_params(rng)
         scalar = np.array([circuit_expectation(p, x) for x in xs])
-        assert np.allclose(circuit_expectation_grid(p, xs), scalar, atol=1e-13)
+        assert np.array_equal(circuit_expectation_grid(p, xs), scalar)
 
 
 @given(angles, angles, diagonals, inputs)

@@ -1,3 +1,4 @@
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -164,6 +165,15 @@ def test_bad_config_value_is_a_usage_error(tmp_path):
     assert main(args) == 2
 
 
+def test_unknown_config_key_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "qubitfit.conf").write_text("iteratons=5\n", encoding="utf-8")
+    assert main(fit_args(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "iteratons" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_prints_index_matching_library(tmp_path, capsys):
     params = published_params("quadratic")
     path = tmp_path / "q.params"
@@ -227,6 +237,21 @@ def test_verify_cli_zero_trials_is_usage_error(capsys):
     assert "trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "--restarts", "0", "--iterations", "5"],
+    ["verify", "--trials", "5", "--seed", "-1"],
+    ["fit", "--target", "custom", "--poly", "1e308,1e308,1e308", "--iterations", "5", "--restarts", "1"],
+])
+def test_invalid_values_give_one_line_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would add lines to stderr
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not (tmp_path / "reproduction").exists()
+
+
 def test_verify_cli_reports_failures_with_exit_1(monkeypatch, capsys):
     real = verify_mod.circuit_expectation
     monkeypatch.setattr(
@@ -247,6 +272,7 @@ def test_reproduce_cli_writes_report_and_artifacts(tmp_path, capsys):
     assert len(rows) == 1 + 6  # header + 3 published + 3 retrained
     for target in ("quadratic", "gaussian", "sigmoid"):
         assert (d / f"{target}.svg").is_file()
+        assert (d / f"{target}_published.svg").is_file()
         assert (d / f"{target}.params").is_file()
     # published rows always meet their thresholds; exit mirrors the table
     published = [r for r in rows[1:] if "published" in r]

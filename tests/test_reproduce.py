@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from qubitfit import get_target, make_grid, optimize, performance_index, published_params
-from qubitfit.chemotaxis import OptimizerConfig
+from qubitfit import get_target, make_grid, performance_index, published_params
 from qubitfit.reproduce import (
     EXPERIMENT_TARGETS,
     PUBLISHED_THRESHOLD,
     REFERENCE_INDEX,
     RETRAINED_THRESHOLD,
-    FitTask,
     ReportRow,
-    run_fit_task,
     run_reproduction,
 )
 
@@ -56,18 +53,6 @@ def test_report_row_pass_logic():
     assert not ReportRow("published", "quadratic", 0.11, 0.1, 0.03, 0.1).passed
 
 
-def test_run_fit_task_equals_direct_optimize():
-    task = FitTask("sigmoid", iterations=80, restarts=2, seed=5)
-    via_task = run_fit_task(task)
-    direct = optimize(
-        get_target("sigmoid"),
-        make_grid(task.n, task.x0),
-        OptimizerConfig(iterations=80, restarts=2, seed=5),
-    )
-    assert via_task.j_final == direct.j_final
-    assert via_task.best == direct.best
-
-
 def test_run_reproduction_structure(tmp_path):
     report = run_reproduction(tmp_path, seed=11, iterations=120, restarts=2)
     assert len(report.rows) == 6
@@ -83,6 +68,7 @@ def test_run_reproduction_structure(tmp_path):
         assert f"| published | {target_id} |" in table
         assert f"| retrained | {target_id} |" in table
         assert (tmp_path / f"{target_id}.svg").is_file()
+        assert (tmp_path / f"{target_id}_published.svg").is_file()
         assert (tmp_path / f"{target_id}.params").is_file()
 
     for row in report.rows:

@@ -83,11 +83,10 @@ def _run_restart(
 ) -> tuple[np.ndarray, float, list[tuple[int, float]], int]:
     rng = np.random.default_rng(restart_seed)
     point = cfg.init.as_vector() if cfg.init is not None else random_vector(rng)
-
-    def index_at(v: np.ndarray) -> float:
-        return performance_index(CircuitParams.from_vector(v), target, grid)
-
-    current = index_at(point)
+    # the index takes the raw vector: a candidate with a non-finite entry
+    # gets a non-finite index and is rejected below, so only the returned
+    # best point is validated (in optimize)
+    current = performance_index(point, target, grid)
     evals = 1
     if not math.isfinite(current):
         raise ValueError("performance index is not finite at the starting point")
@@ -99,7 +98,7 @@ def _run_restart(
     for it in range(1, cfg.iterations + 1):
         step = run_direction if run_direction is not None else rng.normal(0.0, sigma, N_DIM)
         candidate = point + step
-        value = index_at(candidate)
+        value = performance_index(candidate, target, grid)
         evals += 1
         if math.isfinite(value) and value < current:
             point, current = candidate, value

@@ -16,11 +16,14 @@ The diagonal entry g_b pairs with amplitude index b. This convention is
 shared with the closed-form expressions in :mod:`qubitfit.analytic` and
 must not be changed in one place only.
 
-The circuit is a product of two single-qubit circuits, so one helper
-computes the per-qubit amplitudes for scalar or array inputs. The state
-is their Kronecker product, and the output is evaluated by one kernel,
-:func:`circuit_expectation_grid`; the scalar :func:`circuit_expectation`
-is that kernel on a batch of one, so the two cannot drift apart.
+The circuit is a product of two single-qubit circuits. The state is the
+Kronecker product of the two per-qubit amplitude pairs. The output is
+evaluated by one kernel, :func:`circuit_expectation_grid`, which stacks
+both qubits into one pass over scalar or array inputs; the scalar
+:func:`circuit_expectation` is that kernel on a batch of one, so the two
+cannot drift apart. The kernel also accepts the raw parameter vector
+``[theta1, theta2, g0..g3]``, so the optimizer builds no
+``CircuitParams`` per evaluation; only ``CircuitParams`` is validated.
 
 All functions here are pure and all values immutable after construction,
 so concurrent use needs no synchronization.
@@ -36,6 +39,7 @@ import numpy as np
 NORM_TOL = 1e-12
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +66,7 @@ class CircuitParams:
         g = np.array(self.g, dtype=float)
         if g.shape != (4,):
             raise ValueError(f"observable diagonal must have 4 entries, got shape {g.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError("observable diagonal entries must be finite")
         g.setflags(write=False)
         object.__setattr__(self, "g", g)
@@ -99,7 +103,7 @@ class StateVector:
         amp = np.array(self.amp, dtype=complex)
         if amp.shape != (4,):
             raise ValueError(f"statevector must have 4 amplitudes, got shape {amp.shape}")
-        if not np.all(np.isfinite(amp.real)) or not np.all(np.isfinite(amp.imag)):
+        if not np.isfinite(amp.real).all() or not np.isfinite(amp.imag).all():
             raise ValueError("statevector amplitudes must be finite")
         norm_sq = float(np.real(np.vdot(amp, amp)))
         if abs(norm_sq - 1.0) > NORM_TOL:
@@ -158,25 +162,34 @@ def circuit_expectation(params: CircuitParams, x: float) -> float:
     return float(circuit_expectation_grid(params, x))
 
 
-def circuit_expectation_grid(params: CircuitParams, xs: np.ndarray) -> np.ndarray:
+def circuit_expectation_grid(params: CircuitParams | np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Circuit output over an array of inputs (or a scalar).
 
-    Per-qubit amplitudes, then probabilities, then the expectation of the
-    diagonal observable, vectorized over the inputs. This is what the
-    objective evaluates, so it stays on the amplitude route rather than
-    any closed-form shortcut.
+    ``params`` is a :class:`CircuitParams` or its raw vector
+    ``[theta1, theta2, g0..g3]``; a raw vector of another shape raises
+    ``ValueError``, but its entries are not checked, so a non-finite
+    entry gives a non-finite output.
+
+    Amplitudes of both qubits in one stacked pass, then probabilities,
+    then the expectation of the diagonal observable, vectorized over the
+    inputs. This is what the objective evaluates, so it stays on the
+    amplitude route rather than any closed-form shortcut.
     """
+    if isinstance(params, CircuitParams):
+        v = params.as_vector()
+    else:
+        v = np.asarray(params, dtype=float)
+        if v.shape != (6,):
+            raise ValueError(f"parameter vector must have 6 entries, got shape {v.shape}")
     xs = np.asarray(xs, dtype=float)
-    a_second0, a_second1 = _qubit_amplitudes(xs - params.theta1)
-    a_first0, a_first1 = _qubit_amplitudes(xs - params.theta2)
-    p_second0 = np.square(a_second0)
-    p_second1 = np.square(a_second1)
-    p_first0 = np.square(a_first0)
-    p_first1 = np.square(a_first1)
-    g = params.g
-    return (
-        g[0] * p_first0 * p_second0
-        + g[1] * p_first0 * p_second1
-        + g[2] * p_first1 * p_second0
-        + g[3] * p_first1 * p_second1
-    )
+    tail = (1,) * xs.ndim
+    # axis 0 of half is the tensor slot (the first carries theta2); the
+    # amplitudes are c + (-s) = c - s and c + s, exact in IEEE arithmetic,
+    # stacked as p[b, slot] with the slot's basis bit b on axis 0
+    half = 0.5 * (xs - v[1::-1].reshape((2,) + tail))
+    c, s = np.cos(half), np.sin(half)
+    p = np.square((c + _SIGNS.reshape((2, 1) + tail) * s) * _SQRT1_2)
+    # term (b_first, b_second) is (g_b * p_first) * p_second, as one qubit
+    # at a time would compute it; the four are summed in index order
+    terms = (v[2:].reshape((2, 2) + tail) * p[:, 0, None]) * p[:, 1]
+    return terms.reshape((4,) + xs.shape).sum(axis=0)

@@ -71,8 +71,14 @@ def make_grid(n: int, x0: float) -> SampleGrid:
     return SampleGrid(points=points, n=int(n), x0=float(x0))
 
 
-def performance_index(params: CircuitParams, target: TargetFunction, grid: SampleGrid) -> float:
-    """Sum of squared residuals between target and circuit output over the grid."""
+def performance_index(
+    params: CircuitParams | np.ndarray, target: TargetFunction, grid: SampleGrid
+) -> float:
+    """Sum of squared residuals between target and circuit output over the grid.
+
+    ``params`` may be the raw vector ``[theta1, theta2, g0..g3]``, which is
+    not validated: a non-finite entry gives a non-finite index.
+    """
     r = target.fn(grid.points) - circuit_expectation_grid(params, grid.points)
     return float(np.dot(r, r))
 

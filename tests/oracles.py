@@ -62,6 +62,33 @@ def matrix_expectation(theta1, theta2, g, x) -> float:
     return float(np.real(np.vdot(psi, np.diag(np.asarray(g, dtype=float)) @ psi)))
 
 
+def per_qubit_grid(theta1, theta2, g, xs):
+    """Circuit output over ``xs`` with each qubit computed on its own.
+
+    Two separate amplitude pairs ((c - s), (c + s)) / sqrt(2), four
+    squares, and the four terms (g_b * p_first) * p_second summed in
+    index order: the same floating-point operations as the simulator
+    kernel, one qubit at a time, so the two agree bit for bit.
+    """
+    xs = np.asarray(xs, dtype=float)
+
+    def amplitudes(phi):
+        half = 0.5 * phi
+        c, s = np.cos(half), np.sin(half)
+        return (c - s) * SQRT1_2, (c + s) * SQRT1_2
+
+    a_second0, a_second1 = amplitudes(xs - theta1)
+    a_first0, a_first1 = amplitudes(xs - theta2)
+    p_second0, p_second1 = np.square(a_second0), np.square(a_second1)
+    p_first0, p_first1 = np.square(a_first0), np.square(a_first1)
+    return (
+        g[0] * p_first0 * p_second0
+        + g[1] * p_first0 * p_second1
+        + g[2] * p_first1 * p_second0
+        + g[3] * p_first1 * p_second1
+    )
+
+
 def sum_of_squares_index(params, target_fn, xs) -> float:
     """Brute-force J: plain python loop over the grid."""
     total = 0.0

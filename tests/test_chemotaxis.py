@@ -124,6 +124,21 @@ def test_nonfinite_start_raises():
         optimize(bad, make_grid(5, 1.0), OptimizerConfig(iterations=1, restarts=1, seed=0))
 
 
+def test_overflowing_candidates_are_ordinary_rejections():
+    # steps of scale 1e308 overflow to non-finite candidates; the loop must
+    # reject them like any other worse point instead of raising
+    grid = make_grid(30, 1.5)
+    target = get_target("gaussian")
+    cfg = OptimizerConfig(iterations=200, restarts=2, seed=1, sigma0=1e308)
+    with np.errstate(all="ignore"):
+        result = optimize(target, grid, cfg)
+    assert result.evals == cfg.restarts * (cfg.iterations + 1)
+    assert math.isfinite(result.j_final)
+    assert performance_index(result.best, target, grid) == result.j_final
+    values = [j for _, j in result.j_trace]
+    assert all(b <= a for a, b in zip(values, values[1:]))
+
+
 def test_best_point_leaves_little_for_simplex_polish(reproduction_report):
     # an independent local polish of the returned optimum must not find
     # more than a 2x improvement on any bundled target

@@ -15,7 +15,7 @@ from qubitfit import (
 )
 
 from conftest import random_params
-from oracles import matrix_expectation, product_expectation
+from oracles import matrix_expectation, per_qubit_grid, product_expectation
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
 inputs = st.floats(min_value=-4.0, max_value=4.0)
@@ -87,6 +87,20 @@ def test_grid_route_matches_scalar_route():
         p = random_params(rng)
         scalar = np.array([circuit_expectation(p, x) for x in xs])
         assert np.array_equal(circuit_expectation_grid(p, xs), scalar)
+
+
+def test_stacked_kernel_equals_per_qubit_arithmetic():
+    # the kernel stacks both qubits into one pass; that must not move a bit
+    # (compared on this machine, not against stored bit patterns)
+    rng = np.random.default_rng(11)
+    grids = [np.linspace(-1.5, 1.5, n) for n in (2, 30, 200, 4097)]
+    for _ in range(200):
+        p = random_params(rng)
+        v = p.as_vector()
+        for xs in grids + [float(rng.uniform(-4.0, 4.0))]:
+            want = per_qubit_grid(p.theta1, p.theta2, p.g, xs)
+            assert np.array_equal(circuit_expectation_grid(p, xs), want)
+            assert np.array_equal(circuit_expectation_grid(v, xs), want)
 
 
 @given(angles, angles, diagonals, inputs)

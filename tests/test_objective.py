@@ -111,6 +111,20 @@ def test_index_matches_bruteforce_loop():
         assert math.isclose(got, sum_of_squares_index(params, target, grid.points), rel_tol=1e-12)
 
 
+def test_index_of_raw_vector_equals_index_of_params():
+    rng = np.random.default_rng(5)
+    grid = make_grid(30, 1.5)
+    for target_id in ("quadratic", "gaussian", "sigmoid"):
+        target = get_target(target_id)
+        for _ in range(20):
+            v = random_params(rng).as_vector()
+            assert performance_index(v, target, grid) == performance_index(
+                CircuitParams.from_vector(v), target, grid
+            )
+    with pytest.raises(ValueError):
+        performance_index(np.ones(5), get_target("quadratic"), grid)
+
+
 @given(st.integers(min_value=2, max_value=60), st.floats(min_value=0.1, max_value=3.0))
 def test_error_squared_never_exceeds_index(n, x0):
     params = CircuitParams(0.3, -0.7, np.array([0.5, -1.2, 1.8, -0.3]))

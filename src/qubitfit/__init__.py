@@ -23,7 +23,6 @@ from .circuit import (
     StateVector,
     circuit_expectation,
     circuit_expectation_grid,
-    expectation,
     prepare_state,
 )
 from .fileio import (
@@ -49,7 +48,6 @@ __all__ = [
     "CircuitParams",
     "StateVector",
     "prepare_state",
-    "expectation",
     "circuit_expectation",
     "circuit_expectation_grid",
     "TrigForm",

@@ -10,7 +10,6 @@ generator per restart, so results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,26 +114,14 @@ def _run_restart(
     return point, current, trace, evals
 
 
-def optimize(
-    target: TargetFunction,
-    grid: SampleGrid,
-    cfg: OptimizerConfig,
-    workers: int = 1,
-) -> FitResult:
+def optimize(target: TargetFunction, grid: SampleGrid, cfg: OptimizerConfig) -> FitResult:
     """Minimize the performance index; returns the best restart's outcome.
 
-    Restarts are independent and may run on a thread pool (``workers``);
+    Restarts run one after another, restart r on seed ``cfg.seed + r``;
     the merge picks the lowest final index with ties broken by lowest
-    restart number, so the result does not depend on scheduling.
+    restart number.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    seeds = [cfg.seed + r for r in range(cfg.restarts)]
-    if workers == 1:
-        runs = [_run_restart(target, grid, cfg, s) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(lambda s: _run_restart(target, grid, cfg, s), seeds))
+    runs = [_run_restart(target, grid, cfg, cfg.seed + r) for r in range(cfg.restarts)]
 
     winner = min(range(len(runs)), key=lambda i: (runs[i][1], i))
     point, j_final, trace, _ = runs[winner]

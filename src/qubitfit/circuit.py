@@ -111,10 +111,6 @@ class StateVector:
         amp.setflags(write=False)
         object.__setattr__(self, "amp", amp)
 
-    def probabilities(self) -> np.ndarray:
-        """Measurement probabilities |amp_b|^2 over the four basis states."""
-        return np.real(self.amp * np.conj(self.amp))
-
     def norm_sq(self) -> float:
         return float(np.real(np.vdot(self.amp, self.amp)))
 
@@ -140,18 +136,6 @@ def prepare_state(params: CircuitParams, x: float) -> StateVector:
     first = _qubit_amplitudes(x - params.theta2)
     second = _qubit_amplitudes(x - params.theta1)
     return StateVector(np.outer(first, second).ravel())
-
-
-def expectation(state: StateVector, g: np.ndarray) -> float:
-    """Expectation of the diagonal observable: sum_b g_b |amp_b|^2.
-
-    Always lies in [min(g), max(g)] because the probabilities are a
-    convex combination.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.shape != (4,):
-        raise ValueError(f"observable diagonal must have 4 entries, got shape {g.shape}")
-    return float(np.dot(g, state.probabilities()))
 
 
 def circuit_expectation(params: CircuitParams, x: float) -> float:

@@ -29,7 +29,7 @@ from .fileio import (
     write_summary,
     write_trace_csv,
 )
-from .objective import get_target, make_grid, max_pointwise_error, performance_index
+from .objective import TARGET_IDS, get_target, make_grid, max_pointwise_error, performance_index
 from .reproduce import (
     DEFAULT_ITERATIONS,
     DEFAULT_N,
@@ -231,6 +231,7 @@ def cmd_reproduce(args) -> int:
     except OSError as exc:
         raise CliError(f"cannot write outputs to {out}: {exc}") from exc
     print(report.table_path.read_text(encoding="utf-8"))
+    print(f"retraining wall time: {report.retrain_seconds:.1f} s")
     if report.all_passed:
         print("all reproduction checks passed")
         return EXIT_OK
@@ -248,7 +249,7 @@ def _add_common(sub, config=True, out_dir=False, seed=False):
 
 
 def _add_target(sub):
-    sub.add_argument("--target", required=True, choices=["quadratic", "gaussian", "sigmoid", "custom"],
+    sub.add_argument("--target", required=True, choices=TARGET_IDS,
                      help="target function to approximate")
     sub.add_argument("--poly", help="comma-separated polynomial coefficients, ascending; required for --target custom")
     sub.add_argument("--n", type=int, help=f"number of grid samples (default {DEFAULT_N})")

@@ -70,7 +70,6 @@ def write_comparison_plot(
             (label, circuit_expectation_grid(params, dense), "#000000"),
         ],
         title=f"{target.id}: target vs circuit approximation",
-        xlabel="x",
     )
 
 
@@ -167,8 +166,7 @@ def run_reproduction(
     header = (
         "# Reproduction report\n\n"
         f"Grid: N = {DEFAULT_N} uniform points on [-{DEFAULT_X0:g}, {DEFAULT_X0:g}]. "
-        f"Training: {iterations} iterations, {restarts} restarts, master seed {seed}. "
-        f"Retraining wall time: {retrain_seconds:.1f} s.\n\n"
+        f"Training: {iterations} iterations, {restarts} restarts, master seed {seed}.\n\n"
     )
     table_path.write_text(header + _markdown_table(tuple(rows)), encoding="utf-8")
 

@@ -27,8 +27,6 @@ def render_line_plot(
     x: np.ndarray,
     series: list[tuple[str, np.ndarray, str]],
     title: str = "",
-    xlabel: str = "x",
-    ylabel: str = "",
 ) -> str:
     """Render series [(label, yvalues, color), ...] against shared x."""
     x = np.asarray(x, dtype=float)
@@ -96,14 +94,8 @@ def render_line_plot(
         )
     parts.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:g}" y="{HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(xlabel)}</text>'
+        'font-family="sans-serif" font-size="14">x</text>'
     )
-    if ylabel:
-        yc = MARGIN_TOP + plot_h / 2
-        parts.append(
-            f'<text x="18" y="{yc:g}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="14" transform="rotate(-90 18 {yc:g})">{escape(ylabel)}</text>'
-        )
 
     for label, y, color in series:
         pts = " ".join(f"{px(xi):.2f},{py(yi):.2f}" for xi, yi in zip(x, np.asarray(y, float)))
@@ -127,6 +119,6 @@ def render_line_plot(
     return "\n".join(parts) + "\n"
 
 
-def write_line_plot(path: str | os.PathLike, x, series, title="", xlabel="x", ylabel="") -> None:
+def write_line_plot(path: str | os.PathLike, x, series, title="") -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_line_plot(x, series, title=title, xlabel=xlabel, ylabel=ylabel))
+        fh.write(render_line_plot(x, series, title=title))

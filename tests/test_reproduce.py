@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from qubitfit import get_target, make_grid, performance_index, published_params
+from qubitfit import reproduce
 from qubitfit.reproduce import (
     EXPERIMENT_TARGETS,
     PUBLISHED_THRESHOLD,
@@ -75,3 +78,15 @@ def test_run_reproduction_structure(tmp_path):
         if row.kind == "published":
             assert row.passed, (row.target_id, row.j)
     assert report.all_passed == all(row.passed for row in report.rows)
+
+
+def test_report_bytes_do_not_depend_on_wall_time(tmp_path, monkeypatch):
+    # the same seed must write the same report.md however long training took
+    tables = []
+    for elapsed in (1.0, 99.0):
+        ticks = iter((0.0, elapsed))
+        monkeypatch.setattr(reproduce, "time", SimpleNamespace(perf_counter=lambda t=ticks: next(t)))
+        report = run_reproduction(tmp_path / f"k{elapsed:g}", seed=3, iterations=20, restarts=1)
+        assert report.retrain_seconds == elapsed
+        tables.append(report.table_path.read_bytes())
+    assert tables[0] == tables[1]

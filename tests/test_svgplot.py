@@ -14,8 +14,6 @@ def two_series_doc():
         x,
         [("target quadratic", np.square(x), "#cc0000"), ("approximation", np.tanh(x), "#000000")],
         title="demo",
-        xlabel="x",
-        ylabel="f(x)",
     )
 
 

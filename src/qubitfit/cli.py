@@ -11,6 +11,7 @@ environment variable (seed only), then the built-in default.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -93,8 +94,10 @@ def _resolve(args, config, key, cast, default):
 
 
 def _parse_poly(text: str) -> list[float]:
+    # an empty token is an error, not skipped: skipping it would shift every
+    # later coefficient down one degree
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise CliError(f"bad polynomial coefficients: {text!r}") from None
 
@@ -133,7 +136,6 @@ def cmd_fit(args) -> int:
     iterations = _resolve(args, config, "iterations", int, DEFAULT_ITERATIONS)
     restarts = _resolve(args, config, "restarts", int, DEFAULT_RESTARTS)
     seed = _resolve(args, config, "seed", int, DEFAULT_SEED)
-    out = _out_dir(args, config)
     try:
         grid = make_grid(n, x0)
         cfg = OptimizerConfig(iterations=iterations, restarts=restarts, seed=seed)
@@ -143,6 +145,8 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
+    # created only now, so that a usage error leaves no directory behind
+    out = _out_dir(args, config)
     stem = target.id
     try:
         write_params_file(out / f"{stem}.params", result.best)
@@ -170,14 +174,19 @@ def cmd_eval(args) -> int:
     target = _make_target(args)
     n = _resolve(args, config, "n", int, DEFAULT_N)
     x0 = _resolve(args, config, "x0", float, DEFAULT_X0)
-    out = _out_dir(args, config)
     try:
         grid = make_grid(n, x0)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    j = performance_index(params, target, grid)
-    eps = max_pointwise_error(params, target, grid)
+    # a non-finite result is reported as an error, so numpy's overflow warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        j = performance_index(params, target, grid)
+        eps = max_pointwise_error(params, target, grid)
+    if not (math.isfinite(j) and math.isfinite(eps)):
+        raise CliError(f"performance index is not finite (J={j!r}, max_error={eps!r})")
+
+    out = _out_dir(args, config)
     try:
         write_run_csv(
             out / f"{target.id}_run.csv",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +48,8 @@ def published_params(target_id: str) -> CircuitParams:
     """Load the bundled reference parameter set for a builtin target."""
     if target_id not in EXPERIMENT_TARGETS:
         raise ValueError(f"no bundled parameters for target {target_id!r}")
-    text = (resources.files("qubitfit.data.paper") / f"{target_id}.params").read_text("utf-8")
-    return parse_params(text)
+    path = Path(__file__).parent / "data" / "paper" / f"{target_id}.params"
+    return parse_params(path.read_text(encoding="utf-8"))
 
 
 def write_comparison_plot(

@@ -7,13 +7,17 @@ legend swatches top-right. Output is deterministic for identical input.
 from __future__ import annotations
 
 import os
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 WIDTH, HEIGHT = 800, 600
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 30, 50, 50
 N_TICKS = 5
+
+
+def _escape(text: str) -> str:
+    # what xml.sax.saxutils.escape does, without importing its urllib and email stack
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _span(lo: float, hi: float) -> tuple[float, float]:
@@ -61,7 +65,7 @@ def render_line_plot(
     if title:
         parts.append(
             f'<text x="{WIDTH / 2:g}" y="28" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="18">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="18">{_escape(title)}</text>'
         )
 
     # frame and ticks
@@ -112,7 +116,7 @@ def render_line_plot(
         )
         parts.append(
             f'<text x="{legend_x + 36}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="13">{escape(label)}</text>'
+            f'font-size="13">{_escape(label)}</text>'
         )
 
     parts.append("</svg>")

@@ -1,9 +1,11 @@
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qubitfit
 import qubitfit.verify as verify_mod
 from qubitfit import (
     get_target,
@@ -14,6 +16,9 @@ from qubitfit import (
     write_params_file,
 )
 from qubitfit.cli import main
+
+
+BUNDLED_QUADRATIC = str(Path(qubitfit.__file__).parent / "data" / "paper" / "quadratic.params")
 
 
 @pytest.fixture(autouse=True)
@@ -241,6 +246,11 @@ def test_verify_cli_zero_trials_is_usage_error(capsys):
     ["reproduce", "--restarts", "0", "--iterations", "5"],
     ["verify", "--trials", "5", "--seed", "-1"],
     ["fit", "--target", "custom", "--poly", "1e308,1e308,1e308", "--iterations", "5", "--restarts", "1"],
+    # an empty coefficient would shift every later one down one degree
+    ["fit", "--target", "custom", "--poly", "1,,2", "--iterations", "5", "--restarts", "1"],
+    ["fit", "--target", "custom", "--poly", "1,2,", "--iterations", "5", "--restarts", "1"],
+    ["eval", BUNDLED_QUADRATIC, "--target", "custom", "--poly", "1e308,1e308,1e308"],
+    ["fit", "--target", "gaussian", "--seed", "-1", "--out-dir", "new"],
 ])
 def test_invalid_values_give_one_line_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -249,7 +259,8 @@ def test_invalid_values_give_one_line_usage_error(argv, tmp_path, monkeypatch, c
         assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
-    assert not (tmp_path / "reproduction").exists()
+    # nothing is written, and no output directory is created
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_cli_reports_failures_with_exit_1(monkeypatch, capsys):

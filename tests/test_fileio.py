@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from qubitfit import CircuitParams, ParamsFileError, format_params, parse_params
 from qubitfit.fileio import (
+    PARAM_KEYS,
     format_run_csv,
     format_summary,
     format_trace_csv,
@@ -21,11 +24,66 @@ from conftest import random_params
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
+# documents near the accepted syntax: key=value lines with known, unknown and
+# empty keys, float-like and arbitrary values, comments, and arbitrary lines
+values = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", " ", "nan", "-inf", "1e999", "1_0", "0x10", " 0.5 ", "1=2"]),
+    st.text(),
+)
+suffixes = st.sampled_from(["", "  # note", "#", "\r"])
+lines = st.one_of(
+    st.builds(
+        "{}={}{}".format,
+        st.sampled_from(PARAM_KEYS + ("", " ", "g4", "seed", " theta1 ")),
+        values,
+        suffixes,
+    ),
+    st.text(),
+)
+documents = st.one_of(
+    st.text(),
+    st.lists(lines, max_size=8).map("\n".join),
+    # all six keys in any order with finite values, so that whole documents parse too
+    st.tuples(
+        st.permutations(PARAM_KEYS),
+        st.lists(finite.map(repr), min_size=6, max_size=6),
+        st.lists(suffixes, min_size=6, max_size=6),
+    ).map(lambda kvc: "\n".join(f"{k}={v}{c}" for k, v, c in zip(*kvc))),
+)
+
+
+def parse_outcome(parse, arg):
+    """What ``parse(arg)`` returns, or its ParamsFileError message; any other exception escapes."""
+    try:
+        return parse(arg)
+    except ParamsFileError as exc:
+        return f"ParamsFileError: {exc}"
+
 
 @given(finite, finite, finite, finite, finite, finite)
 def test_round_trip_is_exact_for_all_finite_doubles(t1, t2, g0, g1, g2, g3):
     params = CircuitParams(t1, t2, np.array([g0, g1, g2, g3]))
-    assert parse_params(format_params(params)) == params
+    back = parse_params(format_params(params))
+    assert back == params
+    assert back.as_vector().tobytes() == params.as_vector().tobytes()  # signs of zero too
+
+
+@given(documents)
+def test_arbitrary_text_parses_or_raises_params_file_error(text):
+    keyvals = parse_outcome(parse_keyvals, text)
+    params = parse_outcome(parse_params, text)
+    if isinstance(params, CircuitParams):
+        assert sorted(keyvals) == sorted(PARAM_KEYS)
+        assert np.isfinite(params.as_vector()).all()
+
+
+@given(documents)
+def test_read_config_reads_what_parse_keyvals_parses(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "qubitfit.conf"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert parse_outcome(read_config, path) == parse_outcome(parse_keyvals, text)
 
 
 def test_format_layout():

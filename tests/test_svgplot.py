@@ -1,9 +1,12 @@
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qubitfit.svgplot import HEIGHT, WIDTH, render_line_plot, write_line_plot
+from qubitfit.svgplot import HEIGHT, WIDTH, _escape, render_line_plot, write_line_plot
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -57,6 +60,12 @@ def test_labels_are_xml_escaped():
     doc = render_line_plot(x, [("a < b & c", x, "#123456")], title="t > u")
     root = ET.fromstring(doc)  # would raise on unescaped markup
     assert any(t.text == "a < b & c" for t in root.iter(f"{SVG_NS}text"))
+
+
+@given(st.one_of(st.text(), st.text(alphabet="&<>;amplgtquo#x\"' ")))
+def test_escape_equals_saxutils_escape(text):
+    # the package escapes by hand so that importing it does not load xml.sax
+    assert _escape(text) == escape(text)
 
 
 def test_flat_series_does_not_collapse_the_scale():

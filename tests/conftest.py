@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import qubitfit.circuit as circuit_mod
 from qubitfit import CircuitParams, run_reproduction
 
 
@@ -23,3 +24,11 @@ def reproduction_report(tmp_path_factory):
     by the acceptance criteria and the effectiveness tests."""
     out = tmp_path_factory.mktemp("reproduction")
     return run_reproduction(out, seed=42)
+
+
+def scale_amplitudes(monkeypatch, factor):
+    """Make the simulator's per-qubit amplitudes, and so its states, unnormalized."""
+    real = circuit_mod._qubit_amplitudes
+    monkeypatch.setattr(
+        circuit_mod, "_qubit_amplitudes", lambda phi: tuple(factor * a for a in real(phi))
+    )

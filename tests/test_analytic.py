@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qubitfit import (
     CircuitParams,
     CubicPoly,
+    StateVector,
     amplitude_quadratic_coefficients,
     circuit_expectation,
     closed_form_expectation,
@@ -24,6 +25,9 @@ angles = st.floats(min_value=-math.pi, max_value=math.pi)
 inputs = st.floats(min_value=-4.0, max_value=4.0)
 diag_entries = st.floats(min_value=-2.0, max_value=2.0)
 diagonals = st.tuples(diag_entries, diag_entries, diag_entries, diag_entries)
+# finite, and small enough that x - theta stays finite
+finite = st.floats(min_value=-1e300, max_value=1e300)
+points = st.lists(st.tuples(st.tuples(*[finite] * 6), finite), min_size=1, max_size=8)
 
 
 @given(angles, diagonals)
@@ -176,3 +180,34 @@ def test_amplitude_truncation_scales_as_cube():
             assert 2.0 <= big / small <= 32.0
             checked += 1
     assert checked >= 350
+
+
+@given(points)
+def test_batched_rows_equal_single_point_calls(points):
+    # each row of a (T, 6) batch must equal the single-point call bit for
+    # bit; huge entries overflow to inf or nan the same way on both routes
+    rows = np.array([row for row, _ in points])
+    xs = np.array([x for _, x in points])
+    with np.errstate(all="ignore"):
+        sim = circuit_expectation(rows, xs)
+        closed = closed_form_expectation(rows, xs)
+        coeffs = cubic_coefficients(rows)
+        remainder = cubic_remainder(rows, xs)
+        amp = prepare_state(rows, xs)
+        assert coeffs.shape == (len(rows), 4) and amp.shape == (len(rows), 4)
+        for i, (row, x) in enumerate(points):
+            v = np.array(row)
+            one_sim = circuit_expectation(v, x)
+            one_closed = closed_form_expectation(v, x)
+            poly = cubic_coefficients(v)
+            one_remainder = cubic_remainder(v, x)
+            state = prepare_state(v, x)
+            assert type(one_sim) is float and type(one_closed) is float
+            assert type(one_remainder) is float
+            assert isinstance(poly, CubicPoly) and type(poly.a0) is float
+            assert isinstance(state, StateVector)
+            assert np.array_equal(sim[i], one_sim, equal_nan=True)
+            assert np.array_equal(closed[i], one_closed, equal_nan=True)
+            assert np.array_equal(coeffs[i], poly.as_array(), equal_nan=True)
+            assert np.array_equal(remainder[i], one_remainder, equal_nan=True)
+            assert np.array_equal(amp[i], state.amp)

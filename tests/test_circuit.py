@@ -90,13 +90,34 @@ def test_stacked_kernel_equals_per_qubit_arithmetic():
     # (compared on this machine, not against stored bit patterns)
     rng = np.random.default_rng(11)
     grids = [np.linspace(-1.5, 1.5, n) for n in (2, 30, 200, 4097)]
+    rows = []
     for _ in range(200):
         p = random_params(rng)
         v = p.as_vector()
+        rows.append(v)
         for xs in grids + [float(rng.uniform(-4.0, 4.0))]:
             want = per_qubit_grid(p.theta1, p.theta2, p.g, xs)
             assert np.array_equal(circuit_expectation_grid(p, xs), want)
             assert np.array_equal(circuit_expectation_grid(v, xs), want)
+    # trailing batch axes, row by row: (6, T) paired with (T,) inputs or
+    # with one scalar, and (6, T, 1) against each grid
+    rows = np.array(rows)
+    xs = rng.uniform(-4.0, 4.0, len(rows))
+    x = float(rng.uniform(-4.0, 4.0))
+    paired = circuit_expectation_grid(rows.T, xs)
+    shared = circuit_expectation_grid(rows.T, x)
+    for v, xi, got_paired, got_shared in zip(rows, xs, paired, shared):
+        assert got_paired == per_qubit_grid(v[0], v[1], v[2:], xi)
+        assert got_shared == per_qubit_grid(v[0], v[1], v[2:], x)
+    for grid in grids:
+        out = circuit_expectation_grid(rows.T[..., None], grid)
+        assert out.shape == (len(rows), len(grid))
+        for v, got in zip(rows, out):
+            assert np.array_equal(got, per_qubit_grid(v[0], v[1], v[2:], grid))
+    with pytest.raises(ValueError):
+        circuit_expectation_grid(rows, xs)  # rows, not parameters along axis 0
+    with pytest.raises(ValueError):
+        circuit_expectation(rows[:, :5], xs)
 
 
 @given(angles, angles, diagonals, inputs)

@@ -17,6 +17,8 @@ from qubitfit import (
 )
 from qubitfit.cli import main
 
+from conftest import scale_amplitudes
+
 
 BUNDLED_QUADRATIC = str(Path(qubitfit.__file__).parent / "data" / "paper" / "quadratic.params")
 
@@ -272,6 +274,19 @@ def test_verify_cli_reports_failures_with_exit_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "equivalence: FAIL" in out
     assert "draw seed" in out
+
+
+def test_verify_cli_reports_unnormalized_states_with_exit_1(monkeypatch, capsys):
+    scale_amplitudes(monkeypatch, 1.001)
+    assert main(["verify", "--trials", "30", "--seed", "10"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "equivalence: PASS (30 trials)",
+        "normalization: FAIL (30/30 failed; first failure at draw seed 10: "
+        "| |psi|^2 - 1 | = 4.006e-03)",
+        "boundedness: PASS (30 trials)",
+        "remainder: PASS (30 trials)",
+    ]
 
 
 def test_reproduce_cli_writes_report_and_artifacts(tmp_path, capsys):

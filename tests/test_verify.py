@@ -1,7 +1,30 @@
+import math
+
+import numpy as np
 import pytest
 
 import qubitfit.verify as verify_mod
+from qubitfit.chemotaxis import random_vector
 from qubitfit.verify import SUITE_NAMES, run_suites
+
+from conftest import scale_amplitudes
+
+
+def per_draw_failures(trials, seed, check):
+    """(failures, detail) of a loop over the draws one at a time.
+
+    ``check(v, x)`` returns why draw (v, x) fails, or None; the draws
+    are made as the suites make them, draw i from seed + i.
+    """
+    failures = []
+    for i in range(trials):
+        rng = np.random.default_rng(seed + i)
+        v = random_vector(rng)
+        why = check(v, float(rng.uniform(-math.pi, math.pi)))
+        if why is not None:
+            failures.append((seed + i, why))
+    first_seed, first_why = failures[0]
+    return len(failures), f"first failure at draw seed {first_seed}: {first_why}"
 
 
 def test_all_suites_pass_on_correct_build():
@@ -61,3 +84,72 @@ def test_failure_seed_is_reproducible(monkeypatch):
     first = {r.name: r.detail for r in run_suites(20, seed=77)}
     second = {r.name: r.detail for r in run_suites(20, seed=77)}
     assert first == second
+
+
+@pytest.mark.parametrize("factor, error", [
+    (1.001, "4.006e-03"),  # each amplitude pair scaled by 1.001: |psi|^2 = 1.001^4
+    (math.nan, "nan"),
+])
+def test_unnormalized_states_fail_the_normalization_suite(monkeypatch, factor, error):
+    scale_amplitudes(monkeypatch, factor)
+    results = {r.name: r for r in run_suites(40, seed=4)}
+    norm = results["normalization"]
+    assert not norm.passed
+    assert norm.failures == 40
+    assert norm.detail == f"first failure at draw seed 4: | |psi|^2 - 1 | = {error}"
+    # the output kernel does not build states
+    assert all(results[name].passed for name in ("equivalence", "boundedness", "remainder"))
+
+
+def _suite(name, trials, seed):
+    return {r.name: r for r in run_suites(trials, seed)}[name]
+
+
+def test_first_failure_of_a_partly_skewed_simulator(monkeypatch):
+    real = verify_mod.circuit_expectation
+    skew = lambda v, x: real(v, x) + np.where(np.asarray(x) > 0, 1e-6, 0.0)
+    monkeypatch.setattr(verify_mod, "circuit_expectation", skew)
+
+    def check(v, x):
+        diff = abs(skew(v, x) - verify_mod.closed_form_expectation(v, x))
+        return f"|sim - closed| = {diff:.3e}" if diff > verify_mod.EQUIV_TOL else None
+
+    failures, detail = per_draw_failures(60, 20, check)
+    assert 0 < failures < 60 and not detail.startswith("first failure at draw seed 20:")
+    eq = _suite("equivalence", 60, 20)
+    assert (eq.failures, eq.detail) == (failures, detail)
+
+
+def test_first_failure_of_a_partly_skewed_closed_form(monkeypatch):
+    real = verify_mod.closed_form_expectation
+    skew = lambda v, x: real(v, x) * np.where(np.asarray(x) < 0, 1.001, 1.0)
+    monkeypatch.setattr(verify_mod, "closed_form_expectation", skew)
+
+    def check(v, x):
+        diff = abs(verify_mod.circuit_expectation(v, x) - skew(v, x))
+        return f"|sim - closed| = {diff:.3e}" if diff > verify_mod.EQUIV_TOL else None
+
+    failures, detail = per_draw_failures(60, 6, check)
+    assert 0 < failures < 60 and not detail.startswith("first failure at draw seed 6:")
+    eq = _suite("equivalence", 60, 6)
+    assert (eq.failures, eq.detail) == (failures, detail)
+
+
+def test_first_failure_of_a_partly_skewed_remainder(monkeypatch):
+    # the larger step's remainder grows 100x on draws with theta1 > 0
+    real = verify_mod.cubic_remainder
+    skew = lambda v, x: real(v, x) * (np.where(v[..., 0] > 0, 100.0, 1.0) if x == 2e-2 else 1.0)
+    monkeypatch.setattr(verify_mod, "cubic_remainder", skew)
+
+    def check(v, _x):
+        r1, r2 = skew(v, 1e-2), skew(v, 2e-2)
+        if min(r1, r2) < verify_mod.REMAINDER_FLOOR:
+            return None
+        ratio = r2 / r1
+        ok = verify_mod.RATIO_LO <= ratio <= verify_mod.RATIO_HI
+        return None if ok else f"remainder ratio {ratio:.3f} outside [4, 64]"
+
+    failures, detail = per_draw_failures(60, 8, check)
+    assert 0 < failures < 60 and not detail.startswith("first failure at draw seed 8:")
+    rem = _suite("remainder", 60, 8)
+    assert (rem.failures, rem.detail) == (failures, detail)

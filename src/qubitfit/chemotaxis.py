@@ -18,6 +18,13 @@ from .circuit import CircuitParams
 from .objective import SampleGrid, TargetFunction, max_pointwise_error, performance_index
 
 N_DIM = 6
+# The draw law, column by column: theta1, theta2 uniform on (-pi, pi),
+# g0..g3 on (-2, 2), and a seventh column, the input x of a verify draw,
+# on (-pi, pi). numpy's uniform(low, high) is low + (high - low) * u for
+# u = Generator.random(), so mapping a block of random() doubles gives the
+# doubles of the equivalent uniform() calls.
+DRAW_LOW = np.array([-math.pi, -math.pi, -2.0, -2.0, -2.0, -2.0, -math.pi])
+DRAW_SPAN = -2.0 * DRAW_LOW
 
 
 @dataclass(frozen=True)
@@ -62,11 +69,17 @@ class FitResult:
     evals: int
 
 
+def map_uniform(u: np.ndarray) -> np.ndarray:
+    """Map ``random()`` doubles in place to the draw law of their columns; returns ``u``."""
+    k = u.shape[-1]
+    u *= DRAW_SPAN[:k]
+    u += DRAW_LOW[:k]
+    return u
+
+
 def random_vector(rng: np.random.Generator) -> np.ndarray:
     """Draw [theta1, theta2, g0..g3]: angles uniform on (-pi, pi), diagonal on (-2, 2)."""
-    theta = rng.uniform(-math.pi, math.pi, 2)
-    g = rng.uniform(-2.0, 2.0, 4)
-    return np.concatenate([theta, g])
+    return map_uniform(rng.random(N_DIM))
 
 
 def random_init(seed: int) -> CircuitParams:
@@ -77,6 +90,7 @@ def random_init(seed: int) -> CircuitParams:
 def _run_restart(
     target: TargetFunction,
     grid: SampleGrid,
+    target_values: np.ndarray,
     cfg: OptimizerConfig,
     restart_seed: int,
 ) -> tuple[np.ndarray, float, list[tuple[int, float]], int]:
@@ -85,7 +99,7 @@ def _run_restart(
     # the index takes the raw vector: a candidate with a non-finite entry
     # gets a non-finite index and is rejected below, so only the returned
     # best point is validated (in optimize)
-    current = performance_index(point, target, grid)
+    current = performance_index(point, target, grid, target_values)
     evals = 1
     if not math.isfinite(current):
         raise ValueError("performance index is not finite at the starting point")
@@ -97,7 +111,7 @@ def _run_restart(
     for it in range(1, cfg.iterations + 1):
         step = run_direction if run_direction is not None else rng.normal(0.0, sigma, N_DIM)
         candidate = point + step
-        value = performance_index(candidate, target, grid)
+        value = performance_index(candidate, target, grid, target_values)
         evals += 1
         if math.isfinite(value) and value < current:
             point, current = candidate, value
@@ -121,7 +135,9 @@ def optimize(target: TargetFunction, grid: SampleGrid, cfg: OptimizerConfig) -> 
     the merge picks the lowest final index with ties broken by lowest
     restart number.
     """
-    runs = [_run_restart(target, grid, cfg, cfg.seed + r) for r in range(cfg.restarts)]
+    # one evaluation of the target serves every evaluation of the index
+    values = target.fn(grid.points)
+    runs = [_run_restart(target, grid, values, cfg, cfg.seed + r) for r in range(cfg.restarts)]
 
     winner = min(range(len(runs)), key=lambda i: (runs[i][1], i))
     point, j_final, trace, _ = runs[winner]

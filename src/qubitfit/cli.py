@@ -110,8 +110,25 @@ def _make_target(args):
         raise CliError(str(exc)) from exc
 
 
-def _out_dir(args, config) -> Path:
-    out = Path(_resolve(args, config, "out_dir", str, "."))
+def _out_path(args, config) -> Path:
+    return Path(_resolve(args, config, "out_dir", str, "."))
+
+
+def _check_out_dir(out: Path) -> None:
+    """Reject an output directory that could not be created; creates nothing."""
+    existing = out.absolute()
+    try:
+        while not existing.exists():
+            existing = existing.parent
+    except OSError as exc:
+        raise CliError(f"cannot create output directory {out}: {exc}") from exc
+    if not existing.is_dir():
+        raise CliError(f"cannot create output directory {out}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise CliError(f"cannot create output directory {out}: {existing} is not writable")
+
+
+def _make_out_dir(out: Path) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -136,6 +153,10 @@ def cmd_fit(args) -> int:
     iterations = _resolve(args, config, "iterations", int, DEFAULT_ITERATIONS)
     restarts = _resolve(args, config, "restarts", int, DEFAULT_RESTARTS)
     seed = _resolve(args, config, "seed", int, DEFAULT_SEED)
+    # checked before training but created only after it, so that a usage
+    # error leaves no directory behind
+    out = _out_path(args, config)
+    _check_out_dir(out)
     try:
         grid = make_grid(n, x0)
         cfg = OptimizerConfig(iterations=iterations, restarts=restarts, seed=seed)
@@ -145,8 +166,7 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    # created only now, so that a usage error leaves no directory behind
-    out = _out_dir(args, config)
+    _make_out_dir(out)
     stem = target.id
     try:
         write_params_file(out / f"{stem}.params", result.best)
@@ -186,7 +206,7 @@ def cmd_eval(args) -> int:
     if not (math.isfinite(j) and math.isfinite(eps)):
         raise CliError(f"performance index is not finite (J={j!r}, max_error={eps!r})")
 
-    out = _out_dir(args, config)
+    out = _make_out_dir(_out_path(args, config))
     try:
         write_run_csv(
             out / f"{target.id}_run.csv",

@@ -72,14 +72,21 @@ def make_grid(n: int, x0: float) -> SampleGrid:
 
 
 def performance_index(
-    params: CircuitParams | np.ndarray, target: TargetFunction, grid: SampleGrid
+    params: CircuitParams | np.ndarray,
+    target: TargetFunction,
+    grid: SampleGrid,
+    target_values: np.ndarray | None = None,
 ) -> float:
     """Sum of squared residuals between target and circuit output over the grid.
 
     ``params`` may be the raw vector ``[theta1, theta2, g0..g3]``, which is
     not validated: a non-finite entry gives a non-finite index.
+    ``target_values`` are ``target.fn(grid.points)`` when the caller has
+    them already, as a loop over many evaluations does.
     """
-    r = target.fn(grid.points) - circuit_expectation_grid(params, grid.points)
+    if target_values is None:
+        target_values = target.fn(grid.points)
+    r = target_values - circuit_expectation_grid(params, grid.points)
     return float(np.dot(r, r))
 
 

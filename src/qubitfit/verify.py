@@ -8,20 +8,22 @@ Four suites over seeded random draws of (params, x):
 * remainder     - cubic truncation error shrinks ~x^4 under step halving
 
 Draw i uses seed ``seed + i`` so any failure is reproducible in isolation.
-All draws are made first, as raw parameter rows ``(T, 6)`` and inputs
-``(T,)``; each suite then runs once over the whole batch and reports its
-failure count and the first failing draw in draw order.
+All draws are made first: each draw seed fills one row of seven uniform
+doubles, and :func:`~qubitfit.chemotaxis.map_uniform` maps the whole
+``(T, 7)`` block in one pass to raw parameter rows ``(T, 6)`` and inputs
+``(T,)``, by the same law training draws its starting points from. Each
+suite then runs once over the whole batch and reports its failure count
+and the first failing draw in draw order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import closed_form_expectation, cubic_remainder
-from .chemotaxis import random_vector
+from .chemotaxis import N_DIM, map_uniform
 from .circuit import circuit_expectation, prepare_state
 
 EQUIV_TOL = 1e-12
@@ -47,14 +49,12 @@ class SuiteResult:
 
 
 def _draws(trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw parameter rows ``(trials, 6)`` and inputs ``(trials,)``; row i from seed + i."""
-    rows = np.empty((trials, 6))
-    xs = np.empty(trials)
+    """Raw parameter rows ``(trials, 6)`` and inputs ``(trials,)``; draw i from seed + i."""
+    u = np.empty((trials, N_DIM + 1))
     for i in range(trials):
-        rng = np.random.default_rng(seed + i)
-        rows[i] = random_vector(rng)
-        xs[i] = rng.uniform(-math.pi, math.pi)
-    return rows, xs
+        np.random.default_rng(seed + i).random(out=u[i])
+    map_uniform(u)
+    return u[:, :N_DIM], u[:, N_DIM]
 
 
 def _collect(name: str, seed: int, failed: np.ndarray, why) -> SuiteResult:
@@ -82,8 +82,9 @@ def run_suites(trials: int, seed: int) -> list[SuiteResult]:
     # boundedness suite
     sim = circuit_expectation(rows, xs)
     diff = np.abs(sim - closed_form_expectation(rows, xs))
+    # written so that a NaN difference fails
     results.append(_collect(
-        "equivalence", seed, diff > EQUIV_TOL, lambda i: f"|sim - closed| = {diff[i]:.3e}"
+        "equivalence", seed, ~(diff <= EQUIV_TOL), lambda i: f"|sim - closed| = {diff[i]:.3e}"
     ))
 
     # norms from the amplitude rows, so an unnormalized state is a failure

@@ -98,9 +98,14 @@ def sum_of_squares_index(params, target_fn, xs) -> float:
     return total
 
 
-def random_draw(rng: np.random.Generator):
-    """(theta1, theta2, g, x) draw matching the verify suites' ranges."""
-    theta1, theta2 = rng.uniform(-math.pi, math.pi, 2)
+def uniform_vector(rng: np.random.Generator) -> np.ndarray:
+    """[theta1, theta2, g0..g3] drawn with Generator.uniform, one call per range."""
+    theta = rng.uniform(-math.pi, math.pi, 2)
     g = rng.uniform(-2.0, 2.0, 4)
-    x = rng.uniform(-2.0, 2.0)
-    return theta1, theta2, g, x
+    return np.concatenate([theta, g])
+
+
+def uniform_draw(rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """(parameter vector, input x) of one verify draw, made with Generator.uniform."""
+    v = uniform_vector(rng)
+    return v, rng.uniform(-math.pi, math.pi)

@@ -15,6 +15,9 @@ from qubitfit import (
     performance_index,
     random_init,
 )
+from qubitfit.chemotaxis import random_vector
+
+from oracles import uniform_vector
 
 
 def small_cfg(**kw):
@@ -50,6 +53,31 @@ def test_random_init_is_deterministic_and_in_range():
     assert np.all(np.abs(gs) < 2.0)
     # law of large numbers at this sample size
     assert np.all(np.abs(draws.mean(axis=0)) < 0.2)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+def test_random_vector_equals_uniform_calls_and_consumes_the_same_stream(seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert random_vector(rng).tobytes() == uniform_vector(oracle_rng).tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # the next draw of any kind continues the same stream
+    assert rng.normal(0.0, 0.3, 6).tobytes() == oracle_rng.normal(0.0, 0.3, 6).tobytes()
+
+
+def test_optimize_evaluates_the_target_once():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return np.square(x)
+
+    grid = make_grid(30, 1.5)
+    result = optimize(TargetFunction("counted", fn), grid, small_cfg(iterations=50))
+    # one evaluation for the index loop, one for max_pointwise_error
+    assert len(calls) == 2
+    plain = optimize(get_target("quadratic"), grid, small_cfg(iterations=50))
+    assert (result.j_final, result.j_trace, result.best) == (plain.j_final, plain.j_trace, plain.best)
 
 
 def test_zero_iterations_returns_init_unchanged():

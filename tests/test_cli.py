@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qubitfit
+import qubitfit.cli as cli_mod
 import qubitfit.verify as verify_mod
 from qubitfit import (
     get_target,
@@ -274,6 +275,42 @@ def test_verify_cli_reports_failures_with_exit_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "equivalence: FAIL" in out
     assert "draw seed" in out
+
+
+def test_verify_cli_reports_a_nan_closed_form_with_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(
+        verify_mod, "closed_form_expectation", lambda params, x: np.full(np.shape(x), np.nan)
+    )
+    assert main(["verify", "--trials", "30", "--seed", "10"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("equivalence: FAIL (30/30 failed; first failure at draw seed 10: "
+                        "|sim - closed| = nan)")
+    assert all(line.endswith("PASS (30 trials)") for line in lines[1:])
+
+
+@pytest.mark.parametrize("below", [None, "out", "out/deeper"])
+def test_fit_rejects_an_out_dir_under_a_regular_file_before_training(
+    below, tmp_path, monkeypatch, capsys
+):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n", encoding="utf-8")
+    out = blocker / below if below else blocker
+    calls = []
+    monkeypatch.setattr(cli_mod, "optimize", lambda *args: calls.append(args))
+    assert main(fit_args(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {out}:")
+    assert err.count("\n") == 1, err
+    assert calls == []
+    # nothing is written or created
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_fit_creates_a_nested_out_dir(tmp_path):
+    out = tmp_path / "a" / "b"
+    assert main(fit_args(out, "--iterations", "5")) == 0
+    assert (out / "quadratic.params").is_file()
 
 
 def test_verify_cli_reports_unnormalized_states_with_exit_1(monkeypatch, capsys):

@@ -125,6 +125,16 @@ def test_index_of_raw_vector_equals_index_of_params():
         performance_index(np.ones(5), get_target("quadratic"), grid)
 
 
+def test_index_with_precomputed_target_values_is_the_same_double():
+    rng = np.random.default_rng(8)
+    grid = make_grid(30, 1.5)
+    for target in (get_target("gaussian"), get_target("sigmoid"), polynomial_target([1, -2, 0.5])):
+        values = target.fn(grid.points)
+        for _ in range(20):
+            v = random_params(rng).as_vector()
+            assert performance_index(v, target, grid, values) == performance_index(v, target, grid)
+
+
 @given(st.integers(min_value=2, max_value=60), st.floats(min_value=0.1, max_value=3.0))
 def test_error_squared_never_exceeds_index(n, x0):
     params = CircuitParams(0.3, -0.7, np.array([0.5, -1.2, 1.8, -0.3]))

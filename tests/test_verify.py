@@ -2,29 +2,50 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qubitfit.verify as verify_mod
-from qubitfit.chemotaxis import random_vector
 from qubitfit.verify import SUITE_NAMES, run_suites
 
 from conftest import scale_amplitudes
+from oracles import uniform_draw
 
 
 def per_draw_failures(trials, seed, check):
     """(failures, detail) of a loop over the draws one at a time.
 
-    ``check(v, x)`` returns why draw (v, x) fails, or None; the draws
-    are made as the suites make them, draw i from seed + i.
+    ``check(v, x)`` returns why draw (v, x) fails, or None; draw i is
+    made from seed + i by the uniform-call oracle.
     """
     failures = []
     for i in range(trials):
-        rng = np.random.default_rng(seed + i)
-        v = random_vector(rng)
-        why = check(v, float(rng.uniform(-math.pi, math.pi)))
+        v, x = uniform_draw(np.random.default_rng(seed + i))
+        why = check(v, x)
         if why is not None:
             failures.append((seed + i, why))
     first_seed, first_why = failures[0]
     return len(failures), f"first failure at draw seed {first_seed}: {first_why}"
+
+
+def assert_draws_match_oracle(trials, seed):
+    rows, xs = verify_mod._draws(trials, seed)
+    assert rows.shape == (trials, 6) and xs.shape == (trials,)
+    for i in range(trials):
+        v, x = uniform_draw(np.random.default_rng(seed + i))
+        assert rows[i].tobytes() == v.tobytes()
+        assert xs[i].tobytes() == np.float64(x).tobytes()
+
+
+@given(st.integers(0, 2**64), st.sampled_from([1, 2]))
+@settings(max_examples=50)
+def test_block_draws_equal_uniform_calls(seed, trials):
+    assert_draws_match_oracle(trials, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**40])
+def test_block_draws_equal_uniform_calls_over_a_full_run(seed):
+    assert_draws_match_oracle(2000, seed)
 
 
 def test_all_suites_pass_on_correct_build():
@@ -74,6 +95,18 @@ def test_skewed_closed_form_is_caught(monkeypatch):
     results = {r.name: r for r in run_suites(50, seed=5)}
     assert not results["equivalence"].passed
     assert results["normalization"].passed
+
+
+def test_nan_closed_form_fails_equivalence(monkeypatch):
+    monkeypatch.setattr(
+        verify_mod, "closed_form_expectation", lambda params, x: np.full(np.shape(x), math.nan)
+    )
+    results = {r.name: r for r in run_suites(50, seed=5)}
+    eq = results["equivalence"]
+    assert not eq.passed
+    assert eq.failures == 50
+    assert eq.detail == "first failure at draw seed 5: |sim - closed| = nan"
+    assert all(results[name].passed for name in ("normalization", "boundedness", "remainder"))
 
 
 def test_failure_seed_is_reproducible(monkeypatch):

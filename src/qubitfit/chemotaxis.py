@@ -18,6 +18,8 @@ from .circuit import CircuitParams
 from .objective import SampleGrid, TargetFunction, max_pointwise_error, performance_index
 
 N_DIM = 6
+# rows of standard normals drawn at once for the proposals of one restart
+NORMAL_BLOCK = 256
 # The draw law, column by column: theta1, theta2 uniform on (-pi, pi),
 # g0..g3 on (-2, 2), and a seventh column, the input x of a verify draw,
 # on (-pi, pi). numpy's uniform(low, high) is low + (high - low) * u for
@@ -108,8 +110,23 @@ def _run_restart(
     sigma = cfg.sigma0
     fails = 0
     run_direction: np.ndarray | None = None
+    # Proposals take rows of a block of standard normals z, scaled as
+    # 0.0 + sigma * z: the doubles of one rng.normal(0.0, sigma, N_DIM) call
+    # per proposal, since numpy's normal is loc + scale * standard_normal()
+    # and the generator serves nothing else from here on. The scaled block
+    # is remade only when a new block is drawn or sigma shrinks.
+    z = steps = None
+    k = NORMAL_BLOCK
     for it in range(1, cfg.iterations + 1):
-        step = run_direction if run_direction is not None else rng.normal(0.0, sigma, N_DIM)
+        if run_direction is not None:
+            step = run_direction
+        else:
+            if k == NORMAL_BLOCK:
+                z, steps, k = rng.standard_normal((NORMAL_BLOCK, N_DIM)), None, 0
+            if steps is None:
+                steps = sigma * z + 0.0
+            step = steps[k]
+            k += 1
         candidate = point + step
         value = performance_index(candidate, target, grid, target_values)
         evals += 1
@@ -125,6 +142,7 @@ def _run_restart(
             if fails >= cfg.fail_streak:
                 sigma *= cfg.sigma_shrink
                 fails = 0
+                steps = None
     return point, current, trace, evals
 
 

@@ -23,6 +23,12 @@ both qubits into one pass over scalar or array inputs and over trailing
 batch axes of the parameters; :func:`circuit_expectation` is the same
 kernel, so the two cannot drift apart.
 
+The optimizer evaluates the kernel once per proposal, with one raw
+``(6,)`` vector over the grid, so that call carries no set-up beyond its
+arithmetic: the shape and sign constants are made once per input rank
+(:func:`_leading_axes`), only a batch computes its own shapes, and the
+four terms are summed in index order by ``np.add.reduce`` along one axis.
+
 Parameters come as a ``CircuitParams`` or as raw rows
 ``[theta1, theta2, g0..g3]``, so the optimizer and the self-checks build
 no ``CircuitParams`` per point; only ``CircuitParams`` is validated.
@@ -37,6 +43,7 @@ so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,7 +52,21 @@ import numpy as np
 NORM_TOL = 1e-12
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-_SIGNS = np.array([-1.0, 1.0])
+
+
+@functools.cache
+def _leading_axes(k: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """The kernel's shape constants for ``k`` trailing axes.
+
+    The shapes that put the tensor-slot axis, and the (basis bit, slot)
+    axes, in front of ``k`` broadcast axes, and the signs -1, +1 of the
+    basis bit in that layout. Made once per rank, so that a call builds none;
+    every call shares them, so the signs are read-only.
+    """
+    ones = (1,) * k
+    signs = np.array([-1.0, 1.0]).reshape((2, 1) + ones)
+    signs.setflags(write=False)
+    return (2,) + ones, (2, 2) + ones, signs
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,20 +220,23 @@ def circuit_expectation_grid(params: CircuitParams | np.ndarray, xs: np.ndarray)
         if v.shape != (6,) and (v.ndim < 2 or v.shape[0] != 6):
             raise ValueError(f"parameters must have shape (6,) or (6, *B), got shape {v.shape}")
     xs = np.asarray(xs, dtype=float)
-    # the single vector (every training call) pays no batch bookkeeping:
-    # it costs about 2 % of the call
-    tail = ones = (1,) * xs.ndim
     if v.ndim > 1:
         # the batch axes B of v, right-aligned against the input axes
         tail = (1,) * (xs.ndim - v.ndim + 1) + v.shape[1:]
-        ones = (1,) * len(tail)
+        slot_shape, pair_shape = (2,) + tail, (2, 2) + tail
+        signs = _leading_axes(len(tail))[2]
+    else:
+        # the single vector (every training call) builds no shape
+        slot_shape, pair_shape, signs = _leading_axes(xs.ndim)
     # axis 0 of half is the tensor slot (the first carries theta2); the
     # amplitudes are c + (-s) = c - s and c + s, exact in IEEE arithmetic,
     # stacked as p[b, slot] with the slot's basis bit b on axis 0
-    half = 0.5 * (xs - v[1::-1].reshape((2,) + tail))
+    half = 0.5 * (xs - v[1::-1].reshape(slot_shape))
     c, s = np.cos(half), np.sin(half)
-    p = np.square((c + _SIGNS.reshape((2, 1) + ones) * s) * _SQRT1_2)
+    p = np.square((c + signs * s) * _SQRT1_2)
     # term (b_first, b_second) is (g_b * p_first) * p_second, as one qubit
-    # at a time would compute it; the four are summed in index order
-    terms = (v[2:].reshape((2, 2) + tail) * p[:, 0, None]) * p[:, 1]
-    return terms.reshape((4,) + terms.shape[2:]).sum(axis=0)
+    # at a time would compute it; the four are summed in index order, along
+    # one axis whatever the memory layout (add.reduce is ndarray.sum without
+    # its Python wrapper)
+    terms = (v[2:].reshape(pair_shape) * p[:, 0, None]) * p[:, 1]
+    return np.add.reduce(terms.reshape((4,) + terms.shape[2:]), axis=0)

@@ -331,6 +331,12 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        # a size option (--trials, --n) asked for more than this machine
+        # holds: a usage error, not a failed verification
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

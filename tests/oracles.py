@@ -109,3 +109,33 @@ def uniform_draw(rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """(parameter vector, input x) of one verify draw, made with Generator.uniform."""
     v = uniform_vector(rng)
     return v, rng.uniform(-math.pi, math.pi)
+
+
+def chemotaxis_restart(index, start, rng, iterations, sigma0, sigma_shrink, fail_streak):
+    """One optimizer restart as a plain loop: (point, value, trace, evals).
+
+    Every fresh proposal is its own ``rng.normal(0.0, sigma, 6)`` call; an
+    accepted step is replayed until it stops improving, and ``fail_streak``
+    rejections in a row shrink ``sigma``. ``index`` maps a raw 6-vector to
+    the performance index.
+    """
+    point = np.asarray(start, dtype=float)
+    current = index(point)
+    evals = 1
+    trace = [(0, current)]
+    sigma, fails, run_direction = sigma0, 0, None
+    for it in range(1, iterations + 1):
+        step = run_direction if run_direction is not None else rng.normal(0.0, sigma, 6)
+        candidate = point + step
+        value = index(candidate)
+        evals += 1
+        if math.isfinite(value) and value < current:
+            point, current, run_direction, fails = candidate, value, step, 0
+            trace.append((it, current))
+        else:
+            run_direction = None
+            fails += 1
+            if fails >= fail_streak:
+                sigma *= sigma_shrink
+                fails = 0
+    return point, current, trace, evals

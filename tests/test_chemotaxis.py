@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize as sp_optimize
 
 from qubitfit import (
@@ -17,7 +19,7 @@ from qubitfit import (
 )
 from qubitfit.chemotaxis import random_vector
 
-from oracles import uniform_vector
+from oracles import chemotaxis_restart, uniform_vector
 
 
 def small_cfg(**kw):
@@ -63,6 +65,48 @@ def test_random_vector_equals_uniform_calls_and_consumes_the_same_stream(seed):
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
     # the next draw of any kind continues the same stream
     assert rng.normal(0.0, 0.3, 6).tobytes() == oracle_rng.normal(0.0, 0.3, 6).tobytes()
+
+
+def assert_optimize_equals_oracle(target, grid, cfg):
+    """``optimize`` equals the per-proposal ``rng.normal`` loop of the oracle bit for bit."""
+    got = optimize(target, grid, cfg)
+    runs = []
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng(cfg.seed + r)
+        start = cfg.init.as_vector() if cfg.init is not None else uniform_vector(rng)
+        runs.append(chemotaxis_restart(
+            lambda v: performance_index(v, target, grid), start, rng,
+            cfg.iterations, cfg.sigma0, cfg.sigma_shrink, cfg.fail_streak,
+        ))
+    point, value, trace, _ = min(runs, key=lambda run: run[1])  # ties: lowest restart
+    assert got.best.as_vector().tobytes() == point.tobytes()
+    assert got.j_final == value
+    assert got.j_trace == tuple(trace)
+    assert got.evals == sum(run[3] for run in runs)
+
+
+# 255-257 straddle the optimizer's block of normals; at sigma0 = 1e308 every
+# candidate overflows and is rejected, so every iteration draws a fresh step
+@pytest.mark.parametrize("sigma0", [0.3, 1e308])
+@pytest.mark.parametrize("iterations", [0, 1, 255, 256, 257, 1200])
+def test_steps_follow_the_normal_law_across_blocks(iterations, sigma0):
+    cfg = OptimizerConfig(iterations=iterations, restarts=2, seed=11, sigma0=sigma0)
+    with np.errstate(all="ignore"):
+        assert_optimize_equals_oracle(get_target("gaussian"), make_grid(30, 1.5), cfg)
+
+
+@pytest.mark.parametrize("init", [None, CircuitParams(0.4, -0.7, np.array([0.5, -1.2, 1.8, -0.3]))])
+def test_steps_follow_the_normal_law_through_shrinks(init):
+    # three rejections in a row shrink sigma, many times within one block
+    cfg = OptimizerConfig(iterations=900, restarts=2, seed=5, fail_streak=3, init=init)
+    assert_optimize_equals_oracle(get_target("sigmoid"), make_grid(30, 1.5), cfg)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63))
+def test_steps_follow_the_normal_law_for_any_seed(seed):
+    cfg = OptimizerConfig(iterations=300, restarts=1, seed=seed, fail_streak=10)
+    assert_optimize_equals_oracle(get_target("quadratic"), make_grid(30, 1.5), cfg)
 
 
 def test_optimize_evaluates_the_target_once():

@@ -120,6 +120,27 @@ def test_stacked_kernel_equals_per_qubit_arithmetic():
         circuit_expectation(rows[:, :5], xs)
 
 
+@pytest.mark.parametrize("shape", [(), (30,), (3, 4), (2, 3, 5)])
+def test_single_vector_kernel_at_every_input_rank(shape):
+    # one parameter vector against inputs of each rank, in C order, Fortran
+    # order and with reversed strides: the output has the inputs' shape and
+    # the per-qubit arithmetic's bits
+    rng = np.random.default_rng(len(shape))
+    for _ in range(50):
+        p = random_params(rng)
+        base = rng.uniform(-4.0, 4.0, shape)
+        if shape:
+            layouts = [base, np.asfortranarray(base), base[(slice(None, None, -1),) * base.ndim]]
+        else:
+            layouts = [base, float(base)]
+        for xs in layouts:
+            want = np.ascontiguousarray(per_qubit_grid(p.theta1, p.theta2, p.g, xs))
+            for params in (p, p.as_vector()):
+                got = circuit_expectation_grid(params, xs)
+                assert got.shape == shape
+                assert got.tobytes() == want.tobytes()
+
+
 @given(angles, angles, diagonals, inputs)
 def test_output_stays_within_diagonal_range(theta1, theta2, g, x):
     value = circuit_expectation(CircuitParams(theta1, theta2, np.array(g)), x)

@@ -266,6 +266,30 @@ def test_invalid_values_give_one_line_usage_error(argv, tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
+NO_MEMORY = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+
+@pytest.mark.parametrize("argv, name, exc, err", [
+    (["verify", "--trials", "100000000000"], "run_suites", MemoryError(),
+     "error: out of memory\n"),
+    (["eval", BUNDLED_QUADRATIC, "--target", "quadratic", "--n", "1000000000000"], "make_grid",
+     MemoryError(NO_MEMORY),
+     f"error: out of memory: {NO_MEMORY}\n"),
+    (["fit", "--target", "quadratic", "--n", "1000000000000"], "make_grid", MemoryError(NO_MEMORY),
+     f"error: out of memory: {NO_MEMORY}\n"),
+])
+def test_running_out_of_memory_is_a_usage_error(argv, name, exc, err, tmp_path, monkeypatch, capsys):
+    # the patched call fails as numpy's allocation would, without allocating
+    def no_memory(*args):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, name, no_memory)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_cli_reports_failures_with_exit_1(monkeypatch, capsys):
     real = verify_mod.circuit_expectation
     monkeypatch.setattr(

@@ -11,7 +11,6 @@ chemotaxis optimizer (:mod:`.chemotaxis`), and the file/CLI surface
 from .analytic import (
     CubicPoly,
     TrigForm,
-    amplitude_quadratic_coefficients,
     closed_form_expectation,
     cubic_coefficients,
     cubic_remainder,
@@ -56,7 +55,6 @@ __all__ = [
     "closed_form_expectation",
     "cubic_coefficients",
     "cubic_remainder",
-    "amplitude_quadratic_coefficients",
     "TargetFunction",
     "SampleGrid",
     "get_target",

@@ -37,7 +37,6 @@ broadcasting. One point keeps the scalar types (a ``float``, a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,34 +168,3 @@ def cubic_remainder(params: CircuitParams | np.ndarray, x):
     poly = a if isinstance(a, CubicPoly) else CubicPoly(*a.T)
     return abs(closed_form_expectation(params, x) - poly(x))
 
-
-def amplitude_quadratic_coefficients(params: CircuitParams) -> np.ndarray:
-    """Degree-2 Maclaurin coefficients of each of the 4 amplitudes, shape (4, 3).
-
-    Each single-qubit factor amplitude is cos or sin of (x/2 + pi/4 - theta/2),
-    so its series in x follows from half-angle derivatives; the register
-    amplitude is the product of its two factors truncated at degree 2.
-    Exposed so that the quadratic structure of the amplitudes (what makes
-    the expectation cubic after truncation) is directly checkable.
-    """
-    def factor_series(theta: float) -> np.ndarray:
-        a = math.pi / 4.0 - 0.5 * theta
-        sa, ca = math.sin(a), math.cos(a)
-        # rows: amplitude of outcome 0 = cos(x/2 + a), outcome 1 = sin(x/2 + a)
-        return np.array([
-            [ca, -0.5 * sa, -0.125 * ca],
-            [sa, 0.5 * ca, -0.125 * sa],
-        ])
-
-    first = factor_series(params.theta2)
-    second = factor_series(params.theta1)
-    out = np.empty((4, 3))
-    for b_first in range(2):
-        for b_second in range(2):
-            p, q = first[b_first], second[b_second]
-            out[2 * b_first + b_second] = [
-                p[0] * q[0],
-                p[0] * q[1] + p[1] * q[0],
-                p[0] * q[2] + p[1] * q[1] + p[2] * q[0],
-            ]
-    return out

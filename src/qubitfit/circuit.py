@@ -25,9 +25,11 @@ kernel, so the two cannot drift apart.
 
 The optimizer evaluates the kernel once per proposal, with one raw
 ``(6,)`` vector over the grid, so that call carries no set-up beyond its
-arithmetic: the shape and sign constants are made once per input rank
-(:func:`_leading_axes`), only a batch computes its own shapes, and the
-four terms are summed in index order by ``np.add.reduce`` along one axis.
+arithmetic: the layout constants are made once per input rank
+(:func:`_leading_axes`), only a batch computes its own shapes, the
+amplitudes are written, scaled and squared in one buffer, and the four
+terms are summed in index order by in-place additions. Over an array of
+inputs the output is a fresh array, which the caller may overwrite.
 
 Parameters come as a ``CircuitParams`` or as raw rows
 ``[theta1, theta2, g0..g3]``, so the optimizer and the self-checks build
@@ -53,20 +55,23 @@ NORM_TOL = 1e-12
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
+# the kernel's scale factors as read-only 0-d arrays: a ufunc converts a
+# Python float operand anew on every call
+_HALF, _SCALE = np.array(0.5), np.array(_SQRT1_2)
+_HALF.setflags(write=False)
+_SCALE.setflags(write=False)
+
 
 @functools.cache
-def _leading_axes(k: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
-    """The kernel's shape constants for ``k`` trailing axes.
+def _leading_axes(k: int) -> tuple[tuple, tuple[int, ...]]:
+    """The single-vector kernel's layout constants for ``k`` input axes.
 
-    The shapes that put the tensor-slot axis, and the (basis bit, slot)
-    axes, in front of ``k`` broadcast axes, and the signs -1, +1 of the
-    basis bit in that layout. Made once per rank, so that a call builds none;
-    every call shares them, so the signs are read-only.
+    The index that takes (theta2, theta1) from the vector with ``k`` new
+    axes behind the tensor-slot axis, and the shape that puts the (basis
+    bit, slot) axes of the diagonal in front of ``k`` broadcast axes. Made
+    once per rank, so that a call builds none.
     """
-    ones = (1,) * k
-    signs = np.array([-1.0, 1.0]).reshape((2, 1) + ones)
-    signs.setflags(write=False)
-    return (2,) + ones, (2, 2) + ones, signs
+    return (slice(1, None, -1),) + (None,) * k, (2, 2) + (1,) * k
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,20 +228,29 @@ def circuit_expectation_grid(params: CircuitParams | np.ndarray, xs: np.ndarray)
     if v.ndim > 1:
         # the batch axes B of v, right-aligned against the input axes
         tail = (1,) * (xs.ndim - v.ndim + 1) + v.shape[1:]
-        slot_shape, pair_shape = (2,) + tail, (2, 2) + tail
-        signs = _leading_axes(len(tail))[2]
+        theta, pair_shape = v[1::-1].reshape((2,) + tail), (2, 2) + tail
     else:
         # the single vector (every training call) builds no shape
-        slot_shape, pair_shape, signs = _leading_axes(xs.ndim)
-    # axis 0 of half is the tensor slot (the first carries theta2); the
-    # amplitudes are c + (-s) = c - s and c + s, exact in IEEE arithmetic,
-    # stacked as p[b, slot] with the slot's basis bit b on axis 0
-    half = 0.5 * (xs - v[1::-1].reshape(slot_shape))
+        index, pair_shape = _leading_axes(xs.ndim)
+        theta = v[index]
+    # axis 0 of half is the tensor slot (the first carries theta2), and
+    # (x - theta) * 0.5 is 0.5 * (x - theta) exactly; the amplitudes c - s
+    # and c + s go into one buffer as p[b, slot], the slot's basis bit b on
+    # axis 0, and are scaled and squared there (a ufunc's third argument is
+    # its output)
+    half = xs - theta
+    half *= _HALF
     c, s = np.cos(half), np.sin(half)
-    p = np.square((c + signs * s) * _SQRT1_2)
+    p = np.empty((2,) + half.shape)
+    np.subtract(c, s, p[0])
+    np.add(c, s, p[1])
+    p *= _SCALE
+    np.square(p, p)
     # term (b_first, b_second) is (g_b * p_first) * p_second, as one qubit
-    # at a time would compute it; the four are summed in index order, along
-    # one axis whatever the memory layout (add.reduce is ndarray.sum without
-    # its Python wrapper)
-    terms = (v[2:].reshape(pair_shape) * p[:, 0, None]) * p[:, 1]
-    return np.add.reduce(terms.reshape((4,) + terms.shape[2:]), axis=0)
+    # at a time would compute it; the four are summed in index order
+    terms = v[2:].reshape(pair_shape) * p[:, 0, None]
+    terms *= p[:, 1]
+    out = terms[0, 0] + terms[0, 1]
+    out += terms[1, 0]
+    out += terms[1, 1]
+    return out

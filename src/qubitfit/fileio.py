@@ -85,9 +85,16 @@ def format_params(params: CircuitParams) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: str | os.PathLike) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParamsFileError(f"not UTF-8 text ({exc.reason})") from None
+
+
 def read_params_file(path: str | os.PathLike) -> CircuitParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_params(fh.read())
+    return parse_params(_read_text(path))
 
 
 def write_params_file(path: str | os.PathLike, params: CircuitParams) -> None:
@@ -139,5 +146,4 @@ def write_summary(path: str | os.PathLike, j: float, max_error: float, evals: in
 
 def read_config(path: str | os.PathLike) -> dict[str, str]:
     """Optional key=value config; same syntax as parameter files."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_keyvals(fh.read())
+    return parse_keyvals(_read_text(path))

@@ -82,11 +82,13 @@ def performance_index(
     ``params`` may be the raw vector ``[theta1, theta2, g0..g3]``, which is
     not validated: a non-finite entry gives a non-finite index.
     ``target_values`` are ``target.fn(grid.points)`` when the caller has
-    them already, as a loop over many evaluations does.
+    them already, as a loop over many evaluations does; they are only read.
     """
     if target_values is None:
         target_values = target.fn(grid.points)
-    r = target_values - circuit_expectation_grid(params, grid.points)
+    # the kernel's output is a fresh array, so the residual can overwrite it
+    r = circuit_expectation_grid(params, grid.points)
+    np.subtract(target_values, r, out=r)
     return float(np.dot(r, r))
 
 

@@ -62,6 +62,38 @@ def matrix_expectation(theta1, theta2, g, x) -> float:
     return float(np.real(np.vdot(psi, np.diag(np.asarray(g, dtype=float)) @ psi)))
 
 
+def amplitude_quadratic_coefficients(theta1, theta2) -> np.ndarray:
+    """Degree-2 Maclaurin coefficients of each of the 4 amplitudes, shape (4, 3).
+
+    Each single-qubit factor amplitude is cos or sin of (x/2 + pi/4 - theta/2),
+    so its series in x follows from half-angle derivatives; the register
+    amplitude is the product of its two factors truncated at degree 2. This
+    is the quadratic structure of the amplitudes that makes the expectation
+    cubic after truncation.
+    """
+    def factor_series(theta: float) -> np.ndarray:
+        a = math.pi / 4.0 - 0.5 * theta
+        sa, ca = math.sin(a), math.cos(a)
+        # rows: amplitude of outcome 0 = cos(x/2 + a), outcome 1 = sin(x/2 + a)
+        return np.array([
+            [ca, -0.5 * sa, -0.125 * ca],
+            [sa, 0.5 * ca, -0.125 * sa],
+        ])
+
+    first = factor_series(theta2)
+    second = factor_series(theta1)
+    out = np.empty((4, 3))
+    for b_first in range(2):
+        for b_second in range(2):
+            p, q = first[b_first], second[b_second]
+            out[2 * b_first + b_second] = [
+                p[0] * q[0],
+                p[0] * q[1] + p[1] * q[0],
+                p[0] * q[2] + p[1] * q[1] + p[2] * q[0],
+            ]
+    return out
+
+
 def per_qubit_grid(theta1, theta2, g, xs):
     """Circuit output over ``xs`` with each qubit computed on its own.
 

@@ -9,7 +9,6 @@ from qubitfit import (
     CircuitParams,
     CubicPoly,
     StateVector,
-    amplitude_quadratic_coefficients,
     circuit_expectation,
     closed_form_expectation,
     cubic_coefficients,
@@ -19,7 +18,7 @@ from qubitfit import (
 )
 
 from conftest import random_params
-from oracles import fd_maclaurin
+from oracles import amplitude_quadratic_coefficients, fd_maclaurin
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
 inputs = st.floats(min_value=-4.0, max_value=4.0)
@@ -155,7 +154,7 @@ def test_amplitude_series_matches_finite_differences():
     rng = np.random.default_rng(17)
     for _ in range(25):
         params = random_params(rng)
-        coeffs = amplitude_quadratic_coefficients(params)
+        coeffs = amplitude_quadratic_coefficients(params.theta1, params.theta2)
         assert coeffs.shape == (4, 3)
         for b in range(4):
             fd = fd_maclaurin(
@@ -170,7 +169,7 @@ def test_amplitude_truncation_scales_as_cube():
     checked = 0
     for _ in range(100):
         params = random_params(rng)
-        coeffs = amplitude_quadratic_coefficients(params)
+        coeffs = amplitude_quadratic_coefficients(params.theta1, params.theta2)
         for b in range(4):
             quad = np.polynomial.polynomial.Polynomial(coeffs[b])
             err = lambda xx: abs(float(prepare_state(params, xx).amp[b].real) - quad(xx))

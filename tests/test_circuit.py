@@ -141,6 +141,34 @@ def test_single_vector_kernel_at_every_input_rank(shape):
                 assert got.tobytes() == want.tobytes()
 
 
+def test_kernel_equals_per_qubit_arithmetic_on_non_finite_and_huge_rows():
+    # raw rows are not validated: infinite entries, NaN and near-overflow
+    # ones must give the per-qubit arithmetic's values, NaN in the same
+    # places, for one vector and for a (6, T) batch
+    inf, nan = math.inf, math.nan
+    offsets = (0.3, inf, -inf, 1.7e308, -1e308)
+    diagonals = (
+        (0.5, -1.2, 1.8, -0.3),
+        (0.5, nan, 1.8, -0.3),
+        (1e308, -1.7e308, 1.7e308, 1e308),
+        (nan, 1.7e308, -1e308, 1.7e308),
+        (inf, 1.7e308, 1.7e308, 1.7e308),
+    )
+    rows = np.array([(t1, t2, *g) for t1 in offsets for t2 in offsets for g in diagonals])
+    grid = np.array([-1.5, 0.0, 1.5, -1.7e308, 1e308])
+    xs = np.resize(grid, len(rows))
+    with np.errstate(all="ignore"):
+        for v in rows:
+            want = per_qubit_grid(v[0], v[1], v[2:], grid)
+            assert np.array_equal(circuit_expectation_grid(v, grid), want, equal_nan=True)
+        paired = circuit_expectation_grid(rows.T, xs)
+        batched = circuit_expectation_grid(rows.T[..., None], grid)
+        for v, x, got_paired, got in zip(rows, xs, paired, batched):
+            assert np.array_equal(got_paired, per_qubit_grid(v[0], v[1], v[2:], x), equal_nan=True)
+            assert np.array_equal(got, per_qubit_grid(v[0], v[1], v[2:], grid), equal_nan=True)
+    assert np.isnan(batched).any() and np.isinf(batched).any() and np.isfinite(batched).any()
+
+
 @given(angles, angles, diagonals, inputs)
 def test_output_stays_within_diagonal_range(theta1, theta2, g, x):
     value = circuit_expectation(CircuitParams(theta1, theta2, np.array(g)), x)

@@ -233,6 +233,19 @@ def test_coeffs_parse_failure(tmp_path):
     assert main(["coeffs", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("argv, name, kind", [
+    (["coeffs", "bad.params"], "bad.params", "parameter"),
+    (["verify", "--trials", "5", "--config", "bad.conf"], "bad.conf", "config"),
+    (["verify", "--trials", "5"], "qubitfit.conf", "config"),  # found in the working directory
+])
+def test_a_file_that_is_not_utf8_is_a_usage_error(argv, name, kind, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(b"seed=\xff\n")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: bad {kind} file {name}: not UTF-8 text (invalid start byte)\n")
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 def test_verify_cli_passes(capsys):
     assert main(["verify", "--trials", "120", "--seed", "3"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

@@ -185,6 +185,14 @@ def test_read_config(tmp_path):
     assert read_config(path) == {"seed": "7", "n": "50"}
 
 
+def test_a_file_that_is_not_utf8_raises_params_file_error(tmp_path):
+    path = tmp_path / "latin1.params"
+    path.write_bytes("theta1=0.5  # café\n".encode("latin-1"))
+    for read in (read_params_file, read_config):
+        with pytest.raises(ParamsFileError, match="not UTF-8 text"):
+            read(path)
+
+
 def test_negative_zero_round_trips_with_sign():
     params = CircuitParams(-0.0, 0.0, np.array([-0.0, 0.0, 1.0, -1.0]))
     back = parse_params(format_params(params))

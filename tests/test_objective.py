@@ -126,13 +126,22 @@ def test_index_of_raw_vector_equals_index_of_params():
 
 
 def test_index_with_precomputed_target_values_is_the_same_double():
+    # the residual is formed in the kernel's output, never in the caller's
+    # arrays: read-only values and grid points stay as they were
     rng = np.random.default_rng(8)
     grid = make_grid(30, 1.5)
+    points = grid.points.tobytes()
     for target in (get_target("gaussian"), get_target("sigmoid"), polynomial_target([1, -2, 0.5])):
         values = target.fn(grid.points)
+        values.setflags(write=False)
+        before = values.tobytes()
         for _ in range(20):
-            v = random_params(rng).as_vector()
-            assert performance_index(v, target, grid, values) == performance_index(v, target, grid)
+            p = random_params(rng)
+            for params in (p, p.as_vector()):
+                want = performance_index(params, target, grid)
+                assert performance_index(params, target, grid, values) == want
+        assert values.tobytes() == before
+    assert grid.points.tobytes() == points
 
 
 @given(st.integers(min_value=2, max_value=60), st.floats(min_value=0.1, max_value=3.0))

@@ -16,7 +16,7 @@ from .analytic import (
     cubic_remainder,
     trig_form,
 )
-from .chemotaxis import FitResult, OptimizerConfig, optimize, random_init
+from .chemotaxis import FitResult, OptimizerConfig, optimize
 from .circuit import (
     CircuitParams,
     StateVector,
@@ -65,7 +65,6 @@ __all__ = [
     "OptimizerConfig",
     "FitResult",
     "optimize",
-    "random_init",
     "ParamsFileError",
     "parse_params",
     "format_params",

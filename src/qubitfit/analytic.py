@@ -70,11 +70,6 @@ class TrigForm:
     c2: float
     c3: float
 
-    def evaluate(self, theta1: float, theta2: float, x):
-        s1 = np.sin(x - theta1)
-        s2 = np.sin(x - theta2)
-        return self.c0 + self.c1 * s1 + self.c2 * s2 + self.c3 * s1 * s2
-
 
 def closed_form_expectation(params: CircuitParams | np.ndarray, x):
     """Circuit output as a product of single-qubit probabilities.

@@ -34,7 +34,8 @@ class OptimizerConfig:
     """Search knobs. ``init=None`` draws a fresh random start per restart.
 
     Restart r runs on seed ``seed + r``; with ``init=None`` its starting
-    point is exactly ``random_init(seed + r)``.
+    point is the first :func:`random_vector` draw of
+    ``np.random.default_rng(seed + r)``.
     """
 
     iterations: int = 5000
@@ -82,11 +83,6 @@ def map_uniform(u: np.ndarray) -> np.ndarray:
 def random_vector(rng: np.random.Generator) -> np.ndarray:
     """Draw [theta1, theta2, g0..g3]: angles uniform on (-pi, pi), diagonal on (-2, 2)."""
     return map_uniform(rng.random(N_DIM))
-
-
-def random_init(seed: int) -> CircuitParams:
-    """Random starting point: :func:`random_vector` drawn from a fresh generator."""
-    return CircuitParams.from_vector(random_vector(np.random.default_rng(seed)))
 
 
 def _run_restart(

@@ -16,12 +16,12 @@ The diagonal entry g_b pairs with amplitude index b. This convention is
 shared with the closed-form expressions in :mod:`qubitfit.analytic` and
 must not be changed in one place only.
 
-The circuit is a product of two single-qubit circuits. The state is the
-Kronecker product of the two per-qubit amplitude pairs. The output is
-evaluated by one kernel, :func:`circuit_expectation_grid`, which stacks
-both qubits into one pass over scalar or array inputs and over trailing
-batch axes of the parameters; :func:`circuit_expectation` is the same
-kernel, so the two cannot drift apart.
+The circuit is a product of two single-qubit circuits, and all its gates
+are real. One amplitude step, :func:`_amplitudes`, computes the real
+amplitude pairs of both qubits in one stacked pass, over scalar or array
+inputs and trailing batch axes of the parameters. It feeds both the state
+(:func:`prepare_state`) and the output (the kernel
+:func:`circuit_expectation_grid`, which :func:`circuit_expectation` calls).
 
 The optimizer evaluates the kernel once per proposal, with one raw
 ``(6,)`` vector over the grid, so that call carries no set-up beyond its
@@ -53,11 +53,9 @@ import numpy as np
 
 NORM_TOL = 1e-12
 
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-# the kernel's scale factors as read-only 0-d arrays: a ufunc converts a
-# Python float operand anew on every call
-_HALF, _SCALE = np.array(0.5), np.array(_SQRT1_2)
+# the amplitude step's scale factors as read-only 0-d arrays: a ufunc
+# converts a Python float operand anew on every call
+_HALF, _SCALE = np.array(0.5), np.array(1.0 / math.sqrt(2.0))
 _HALF.setflags(write=False)
 _SCALE.setflags(write=False)
 
@@ -117,11 +115,10 @@ class CircuitParams:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Four complex amplitudes of the two-qubit register, unit norm.
+    """Four real amplitudes of the two-qubit register, unit norm.
 
-    Amplitudes stay complex even though this circuit only ever produces
-    real ones; the simulator does not get to assume what a future gate
-    set would preserve.
+    Every gate of the circuit is real, and so is every state it prepares.
+    An input with a non-zero imaginary part raises ``ValueError``.
     """
 
     amp: np.ndarray
@@ -132,29 +129,22 @@ class StateVector:
         return bool(np.array_equal(self.amp, other.amp))
 
     def __post_init__(self) -> None:
-        amp = np.array(self.amp, dtype=complex)
+        amp = np.asarray(self.amp)
+        if np.iscomplexobj(amp) and amp.imag.any():
+            raise ValueError("statevector amplitudes must be real")
+        amp = np.array(amp.real, dtype=float)
         if amp.shape != (4,):
             raise ValueError(f"statevector must have 4 amplitudes, got shape {amp.shape}")
-        if not np.isfinite(amp.real).all() or not np.isfinite(amp.imag).all():
+        if not np.isfinite(amp).all():
             raise ValueError("statevector amplitudes must be finite")
-        norm_sq = float(np.real(np.vdot(amp, amp)))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"statevector is not normalized: |psi|^2 = {norm_sq!r}")
         amp.setflags(write=False)
         object.__setattr__(self, "amp", amp)
+        norm_sq = self.norm_sq()
+        if abs(norm_sq - 1.0) > NORM_TOL:
+            raise ValueError(f"statevector is not normalized: |psi|^2 = {norm_sq!r}")
 
     def norm_sq(self) -> float:
-        return float(np.real(np.vdot(self.amp, self.amp)))
-
-
-def _qubit_amplitudes(phi):
-    """Amplitudes of R(phi) H |0>: ((c - s), (c + s)) / sqrt(2) at half-angle phi/2.
-
-    ``phi`` may be a scalar or an array; the arithmetic is the same either way.
-    """
-    half = 0.5 * phi
-    c, s = np.cos(half), np.sin(half)
-    return (c - s) * _SQRT1_2, (c + s) * _SQRT1_2
+        return float(np.dot(self.amp, self.amp))
 
 
 def _param_rows(params: CircuitParams | np.ndarray) -> np.ndarray:
@@ -171,24 +161,55 @@ def _param_rows(params: CircuitParams | np.ndarray) -> np.ndarray:
     return v
 
 
+def _amplitudes(v: np.ndarray, xs) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The per-qubit amplitudes of raw parameters ``v`` at inputs ``xs``, unsquared.
+
+    ``v`` is one vector ``(6,)`` or has trailing batch axes ``(6, *B)``.
+    Returns ``p`` with ``p[b, slot]`` the amplitude of basis bit ``b`` in
+    tensor slot ``slot`` (the first carries theta2), over the broadcast
+    axes of ``B`` and ``xs``, and the shape that puts the diagonal's
+    (b_first, b_second) axes in front of those axes. Each pair is
+    ((c - s), (c + s)) / sqrt(2) at the half-angle (x - theta) / 2.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if v.ndim > 1:
+        # the batch axes B of v, right-aligned against the input axes
+        tail = (1,) * (xs.ndim - v.ndim + 1) + v.shape[1:]
+        theta, pair_shape = v[1::-1].reshape((2,) + tail), (2, 2) + tail
+    else:
+        # the single vector (every training call) builds no shape
+        index, pair_shape = _leading_axes(xs.ndim)
+        theta = v[index]
+    # axis 0 of half is the tensor slot, and (x - theta) * 0.5 is
+    # 0.5 * (x - theta) exactly; the amplitudes c - s and c + s go into one
+    # buffer, the slot's basis bit on axis 0, and are scaled there (a
+    # ufunc's third argument is its output)
+    half = xs - theta
+    half *= _HALF
+    c, s = np.cos(half), np.sin(half)
+    p = np.empty((2,) + half.shape)
+    np.subtract(c, s, p[0])
+    np.add(c, s, p[1])
+    p *= _SCALE
+    return p, pair_shape
+
+
 def prepare_state(params: CircuitParams | np.ndarray, x):
     """The circuit's two-qubit state at input x.
 
     (H (x) H)|00> is the product of two |+> states, and each rotation
     acts on its own qubit, so the state is the Kronecker product of the
-    two single-qubit amplitude pairs: the four products in index order,
-    which is much cheaper than ``np.kron``.
+    two single-qubit amplitude pairs of :func:`_amplitudes`: the four
+    products in index order, which is much cheaper than ``np.kron``.
 
     One point gives a :class:`StateVector`. A batch of rows ``(T, 6)``
-    gives the complex ``(T, 4)`` amplitude rows, unvalidated, so a caller
+    gives the real ``(T, 4)`` amplitude rows, unvalidated, so a caller
     can measure how far each is from unit norm.
     """
-    theta1, theta2 = _param_rows(params).T[:2]
-    first = _qubit_amplitudes(x - theta2)
-    second = _qubit_amplitudes(x - theta1)
-    # amplitude index b = 2*b_first + b_second
-    amp = np.stack([a * b for a in first for b in second], axis=-1)
-    return StateVector(amp) if amp.ndim == 1 else amp.astype(complex)
+    p, _ = _amplitudes(_param_rows(params).T, x)
+    # amplitude index 2*i + j: basis bit i of the first slot, j of the second
+    amp = np.stack([p[i, 0] * p[j, 1] for i in (0, 1) for j in (0, 1)], axis=-1)
+    return StateVector(amp) if amp.ndim == 1 else amp
 
 
 def circuit_expectation(params: CircuitParams | np.ndarray, x):
@@ -213,7 +234,7 @@ def circuit_expectation_grid(params: CircuitParams | np.ndarray, xs: np.ndarray)
     ``ValueError``, but their entries are not checked, so a non-finite
     entry gives a non-finite output.
 
-    Amplitudes of both qubits in one stacked pass, then probabilities,
+    The amplitudes of :func:`_amplitudes`, squared into probabilities,
     then the expectation of the diagonal observable, vectorized over the
     inputs and the batch. This is what the objective evaluates, so it
     stays on the amplitude route rather than any closed-form shortcut.
@@ -224,27 +245,7 @@ def circuit_expectation_grid(params: CircuitParams | np.ndarray, xs: np.ndarray)
         v = np.asarray(params, dtype=float)
         if v.shape != (6,) and (v.ndim < 2 or v.shape[0] != 6):
             raise ValueError(f"parameters must have shape (6,) or (6, *B), got shape {v.shape}")
-    xs = np.asarray(xs, dtype=float)
-    if v.ndim > 1:
-        # the batch axes B of v, right-aligned against the input axes
-        tail = (1,) * (xs.ndim - v.ndim + 1) + v.shape[1:]
-        theta, pair_shape = v[1::-1].reshape((2,) + tail), (2, 2) + tail
-    else:
-        # the single vector (every training call) builds no shape
-        index, pair_shape = _leading_axes(xs.ndim)
-        theta = v[index]
-    # axis 0 of half is the tensor slot (the first carries theta2), and
-    # (x - theta) * 0.5 is 0.5 * (x - theta) exactly; the amplitudes c - s
-    # and c + s go into one buffer as p[b, slot], the slot's basis bit b on
-    # axis 0, and are scaled and squared there (a ufunc's third argument is
-    # its output)
-    half = xs - theta
-    half *= _HALF
-    c, s = np.cos(half), np.sin(half)
-    p = np.empty((2,) + half.shape)
-    np.subtract(c, s, p[0])
-    np.add(c, s, p[1])
-    p *= _SCALE
+    p, pair_shape = _amplitudes(v, xs)
     np.square(p, p)
     # term (b_first, b_second) is (g_b * p_first) * p_second, as one qubit
     # at a time would compute it; the four are summed in index order
@@ -254,3 +255,4 @@ def circuit_expectation_grid(params: CircuitParams | np.ndarray, xs: np.ndarray)
     out += terms[1, 0]
     out += terms[1, 1]
     return out
+

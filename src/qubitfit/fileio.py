@@ -4,6 +4,9 @@ Parameter files are key=value lines with `#` comments; floats are written
 with shortest round-trip precision so parse(serialize(p)) restores every
 bit. The run record is a four-column CSV plus a small summary block kept
 in a separate file so the CSV stays exactly header + N rows.
+
+Every artifact is written by :func:`_write_text`, so none is ever seen
+half written.
 """
 
 from __future__ import annotations
@@ -57,32 +60,20 @@ def parse_params(text: str) -> CircuitParams:
     missing = [k for k in PARAM_KEYS if k not in kv]
     if missing:
         raise ParamsFileError(f"missing keys: {', '.join(missing)}")
-    values = {}
+    values = []
     for key in PARAM_KEYS:
         try:
-            values[key] = float(kv[key])
+            values.append(float(kv[key]))
         except ValueError:
             raise ParamsFileError(f"key {key!r}: not a float: {kv[key]!r}") from None
-        if not math.isfinite(values[key]):
+        if not math.isfinite(values[-1]):
             raise ParamsFileError(f"key {key!r}: value must be finite, got {kv[key]!r}")
-    return CircuitParams(
-        theta1=values["theta1"],
-        theta2=values["theta2"],
-        g=np.array([values["g0"], values["g1"], values["g2"], values["g3"]]),
-    )
+    return CircuitParams(theta1=values[0], theta2=values[1], g=np.array(values[2:]))
 
 
 def format_params(params: CircuitParams) -> str:
-    g = params.g
-    lines = [
-        f"theta1={_fmt(params.theta1)}",
-        f"theta2={_fmt(params.theta2)}",
-        f"g0={_fmt(g[0])}",
-        f"g1={_fmt(g[1])}",
-        f"g2={_fmt(g[2])}",
-        f"g3={_fmt(g[3])}",
-    ]
-    return "\n".join(lines) + "\n"
+    values = (params.theta1, params.theta2, *params.g)
+    return "".join(f"{key}={_fmt(value)}\n" for key, value in zip(PARAM_KEYS, values))
 
 
 def _read_text(path: str | os.PathLike) -> str:
@@ -93,13 +84,33 @@ def _read_text(path: str | os.PathLike) -> str:
         raise ParamsFileError(f"not UTF-8 text ({exc.reason})") from None
 
 
+def _write_text(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with LF line ends, atomically.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces ``path``. A write that fails partway leaves any old file at
+    ``path`` as it was and removes the temporary file.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            exc.filename = path  # name the artifact, not its temporary file
+        raise
+
+
 def read_params_file(path: str | os.PathLike) -> CircuitParams:
     return parse_params(_read_text(path))
 
 
 def write_params_file(path: str | os.PathLike, params: CircuitParams) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_params(params))
+    _write_text(path, format_params(params))
 
 
 def format_run_csv(xs: Sequence[float], f: Sequence[float], fhat: Sequence[float]) -> str:
@@ -114,8 +125,7 @@ def format_run_csv(xs: Sequence[float], f: Sequence[float], fhat: Sequence[float
 
 
 def write_run_csv(path: str | os.PathLike, xs, f, fhat) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_run_csv(xs, f, fhat))
+    _write_text(path, format_run_csv(xs, f, fhat))
 
 
 def format_trace_csv(trace: Iterable[tuple[int, float]]) -> str:
@@ -126,8 +136,7 @@ def format_trace_csv(trace: Iterable[tuple[int, float]]) -> str:
 
 
 def write_trace_csv(path: str | os.PathLike, trace) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_trace_csv(trace))
+    _write_text(path, format_trace_csv(trace))
 
 
 def format_summary(j: float, max_error: float, evals: int, seed: int) -> str:
@@ -140,8 +149,7 @@ def format_summary(j: float, max_error: float, evals: int, seed: int) -> str:
 
 
 def write_summary(path: str | os.PathLike, j: float, max_error: float, evals: int, seed: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_summary(j, max_error, evals, seed))
+    _write_text(path, format_summary(j, max_error, evals, seed))
 
 
 def read_config(path: str | os.PathLike) -> dict[str, str]:

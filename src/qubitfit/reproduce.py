@@ -24,7 +24,7 @@ import numpy as np
 
 from .chemotaxis import FitResult, OptimizerConfig, optimize
 from .circuit import CircuitParams, circuit_expectation_grid
-from .fileio import parse_params, write_params_file
+from .fileio import _write_text, parse_params, write_params_file
 from .objective import TargetFunction, get_target, make_grid, max_pointwise_error, performance_index
 from .svgplot import write_line_plot
 
@@ -167,7 +167,7 @@ def run_reproduction(
         f"Grid: N = {DEFAULT_N} uniform points on [-{DEFAULT_X0:g}, {DEFAULT_X0:g}]. "
         f"Training: {iterations} iterations, {restarts} restarts, master seed {seed}.\n\n"
     )
-    table_path.write_text(header + _markdown_table(tuple(rows)), encoding="utf-8")
+    _write_text(table_path, header + _markdown_table(tuple(rows)))
 
     return ReproductionReport(
         rows=tuple(rows),

@@ -10,6 +10,8 @@ import os
 
 import numpy as np
 
+from .fileio import _write_text
+
 WIDTH, HEIGHT = 800, 600
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 30, 50, 50
 N_TICKS = 5
@@ -124,5 +126,4 @@ def render_line_plot(
 
 
 def write_line_plot(path: str | os.PathLike, x, series, title="") -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_line_plot(x, series, title=title))
+    _write_text(path, render_line_plot(x, series, title=title))

@@ -3,7 +3,7 @@
 Four suites over seeded random draws of (params, x):
 
 * equivalence   - simulator output vs closed form, 1e-12
-* normalization - unit norm and vanishing imaginary parts of the state
+* normalization - unit norm of the state
 * boundedness   - output inside [min(g), max(g)] with 1e-12 slack
 * remainder     - cubic truncation error shrinks ~x^4 under step halving
 
@@ -28,7 +28,6 @@ from .circuit import circuit_expectation, prepare_state
 
 EQUIV_TOL = 1e-12
 NORM_TOL = 1e-12
-IMAG_TOL = 1e-15
 BOUND_SLACK = 1e-12
 RATIO_LO, RATIO_HI = 4.0, 64.0
 # Below this, the quartic Taylor coefficient is effectively zero for the
@@ -87,16 +86,13 @@ def run_suites(trials: int, seed: int) -> list[SuiteResult]:
         "equivalence", seed, ~(diff <= EQUIV_TOL), lambda i: f"|sim - closed| = {diff[i]:.3e}"
     ))
 
-    # norms from the amplitude rows, so an unnormalized state is a failure
-    # of this suite; a NaN norm fails too
+    # norms from the real amplitude rows, so an unnormalized state is a
+    # failure of this suite; a NaN norm fails too
     amp = prepare_state(rows, xs)
-    norm_err = np.abs(np.real(amp.conj() * amp).sum(axis=1) - 1.0)
-    imag_max = np.abs(amp.imag).max(axis=1)
-    bad_norm = ~(norm_err <= NORM_TOL)
+    norm_err = np.abs((amp * amp).sum(axis=1) - 1.0)
     results.append(_collect(
-        "normalization", seed, bad_norm | (imag_max > IMAG_TOL),
-        lambda i: f"| |psi|^2 - 1 | = {norm_err[i]:.3e}" if bad_norm[i]
-        else f"max imaginary part = {imag_max[i]:.3e}",
+        "normalization", seed, ~(norm_err <= NORM_TOL),
+        lambda i: f"| |psi|^2 - 1 | = {norm_err[i]:.3e}",
     ))
 
     lo, hi = rows[:, 2:].min(axis=1), rows[:, 2:].max(axis=1)

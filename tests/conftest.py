@@ -27,8 +27,11 @@ def reproduction_report(tmp_path_factory):
 
 
 def scale_amplitudes(monkeypatch, factor):
-    """Make the simulator's per-qubit amplitudes, and so its states, unnormalized."""
-    real = circuit_mod._qubit_amplitudes
-    monkeypatch.setattr(
-        circuit_mod, "_qubit_amplitudes", lambda phi: tuple(factor * a for a in real(phi))
-    )
+    """Scale the simulator's per-qubit amplitudes: its states and its output both move."""
+    real = circuit_mod._amplitudes
+
+    def scaled(v, xs):
+        p, pair_shape = real(v, xs)
+        return p * factor, pair_shape
+
+    monkeypatch.setattr(circuit_mod, "_amplitudes", scaled)

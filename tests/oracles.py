@@ -94,6 +94,26 @@ def amplitude_quadratic_coefficients(theta1, theta2) -> np.ndarray:
     return out
 
 
+def _qubit_amplitudes(phi):
+    # ((c - s), (c + s)) / sqrt(2) at the half-angle phi / 2
+    half = 0.5 * phi
+    c, s = np.cos(half), np.sin(half)
+    return (c - s) * SQRT1_2, (c + s) * SQRT1_2
+
+
+def per_qubit_state(theta1, theta2, xs):
+    """The four register amplitudes over ``xs``, shape ``xs.shape + (4,)``.
+
+    Each qubit's amplitude pair on its own, then the products
+    a_first * a_second in index order: the same floating-point operations
+    as the simulator's state, so the two agree bit for bit.
+    """
+    xs = np.asarray(xs, dtype=float)
+    first = _qubit_amplitudes(xs - theta2)
+    second = _qubit_amplitudes(xs - theta1)
+    return np.stack([first[b >> 1] * second[b & 1] for b in range(4)], axis=-1)
+
+
 def per_qubit_grid(theta1, theta2, g, xs):
     """Circuit output over ``xs`` with each qubit computed on its own.
 
@@ -103,14 +123,8 @@ def per_qubit_grid(theta1, theta2, g, xs):
     kernel, one qubit at a time, so the two agree bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
-
-    def amplitudes(phi):
-        half = 0.5 * phi
-        c, s = np.cos(half), np.sin(half)
-        return (c - s) * SQRT1_2, (c + s) * SQRT1_2
-
-    a_second0, a_second1 = amplitudes(xs - theta1)
-    a_first0, a_first1 = amplitudes(xs - theta2)
+    a_second0, a_second1 = _qubit_amplitudes(xs - theta1)
+    a_first0, a_first1 = _qubit_amplitudes(xs - theta2)
     p_second0, p_second1 = np.square(a_second0), np.square(a_second1)
     p_first0, p_first1 = np.square(a_first0), np.square(a_first1)
     return (
@@ -119,6 +133,13 @@ def per_qubit_grid(theta1, theta2, g, xs):
         + g[2] * p_first1 * p_second0
         + g[3] * p_first1 * p_second1
     )
+
+
+def trig_evaluate(form, theta1, theta2, x):
+    """c0 + c1 sin(x - theta1) + c2 sin(x - theta2) + c3 sin(x - theta1) sin(x - theta2)."""
+    s1 = np.sin(x - theta1)
+    s2 = np.sin(x - theta2)
+    return form.c0 + form.c1 * s1 + form.c2 * s2 + form.c3 * s1 * s2
 
 
 def sum_of_squares_index(params, target_fn, xs) -> float:

@@ -18,7 +18,7 @@ from qubitfit import (
 )
 
 from conftest import random_params
-from oracles import amplitude_quadratic_coefficients, fd_maclaurin
+from oracles import amplitude_quadratic_coefficients, fd_maclaurin, trig_evaluate
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
 inputs = st.floats(min_value=-4.0, max_value=4.0)
@@ -68,7 +68,7 @@ def test_trig_coefficients_frozen_example():
 @given(angles, angles, diagonals, inputs)
 def test_trig_form_reconstructs_output(theta1, theta2, g, x):
     params = CircuitParams(theta1, theta2, np.array(g))
-    got = trig_form(params.g).evaluate(theta1, theta2, x)
+    got = trig_evaluate(trig_form(params.g), theta1, theta2, x)
     assert math.isclose(got, closed_form_expectation(params, x), abs_tol=1e-12)
 
 

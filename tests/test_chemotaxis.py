@@ -15,7 +15,6 @@ from qubitfit import (
     make_grid,
     optimize,
     performance_index,
-    random_init,
 )
 from qubitfit.chemotaxis import random_vector
 
@@ -47,9 +46,12 @@ def test_config_validation():
         OptimizerConfig(seed=-1)
 
 
-def test_random_init_is_deterministic_and_in_range():
-    assert random_init(123) == random_init(123)
-    draws = np.array([random_init(s).as_vector() for s in range(1000)])
+def test_random_vector_is_deterministic_and_in_range():
+    def draw(s):
+        return random_vector(np.random.default_rng(s))
+
+    assert draw(123).tobytes() == draw(123).tobytes()
+    draws = np.array([draw(s) for s in range(1000)])
     thetas, gs = draws[:, :2], draws[:, 2:]
     assert np.all(np.abs(thetas) < math.pi)
     assert np.all(np.abs(gs) < 2.0)

@@ -14,7 +14,7 @@ from qubitfit import (
 )
 
 from conftest import random_params
-from oracles import matrix_expectation, per_qubit_grid, product_expectation
+from oracles import matrix_expectation, per_qubit_grid, per_qubit_state, product_expectation
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
 inputs = st.floats(min_value=-4.0, max_value=4.0)
@@ -25,7 +25,44 @@ diagonals = st.tuples(diag_entries, diag_entries, diag_entries, diag_entries)
 def test_state_at_center_is_uniform():
     # x = theta1 = theta2 makes both rotations the identity
     state = prepare_state(CircuitParams(0.0, 0.0, np.zeros(4)), 0.0)
-    assert np.allclose(state.amp, np.full(4, 0.5 + 0j), atol=1e-15)
+    assert np.allclose(state.amp, np.full(4, 0.5), atol=1e-15)
+
+
+def test_state_equals_per_qubit_amplitudes():
+    # the state comes from the kernel's amplitude step; its four products
+    # must carry the per-qubit arithmetic's bits, for one point and a batch
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        p = random_params(rng)
+        x = float(rng.uniform(-4.0, 4.0))
+        want = per_qubit_state(p.theta1, p.theta2, x)
+        for params in (p, p.as_vector()):
+            state = prepare_state(params, x)
+            assert isinstance(state, StateVector)
+            assert state.amp.dtype == np.float64
+            assert state.amp.tobytes() == want.tobytes()
+
+
+def test_state_batch_equals_per_qubit_amplitudes_on_non_finite_and_huge_rows():
+    # raw rows are not validated: infinite offsets give NaN amplitudes in
+    # the oracle's places, and the diagonal, NaN or huge, never enters
+    inf, nan = math.inf, math.nan
+    offsets = (0.3, inf, -inf, 1.7e308, -1e308)
+    diagonals = ((0.5, -1.2, 1.8, -0.3), (nan, 1.7e308, -1e308, nan))
+    special = np.array([(t1, t2, *g) for t1 in offsets for t2 in offsets for g in diagonals])
+    rng = np.random.default_rng(9)
+    rows = np.concatenate([special, rng.uniform(-4.0, 4.0, (2000, 6))])
+    xs = np.concatenate([np.resize([-1.5, 0.0, 1.5, -1.7e308, 1e308], len(special)),
+                         rng.uniform(-4.0, 4.0, 2000)])
+    with np.errstate(all="ignore"):
+        amp = prepare_state(rows, xs)
+        want = per_qubit_state(rows[:, 0], rows[:, 1], xs)
+    assert amp.shape == (len(rows), 4) and amp.dtype == np.float64
+    assert np.array_equal(amp, want, equal_nan=True)
+    assert np.isnan(amp).any() and np.isfinite(amp).all(axis=1).sum() > 2000
+    for v, x, got in zip(rows[:40], xs[:40], amp[:40]):
+        with np.errstate(all="ignore"):
+            assert np.array_equal(got, per_qubit_state(v[0], v[1], x), equal_nan=True)
 
 
 @given(angles, angles, inputs)
@@ -204,3 +241,16 @@ def test_statevector_validation():
         StateVector(np.array([1.0, 1.0, 0.0, 0.0]))  # norm 2, not 1
     with pytest.raises(ValueError):
         StateVector(np.ones(3) / math.sqrt(3))
+    with pytest.raises(ValueError):
+        StateVector(np.array([1.0, 0.0, 0.0, 1e-20j]))  # not real
+    with pytest.raises(ValueError):
+        StateVector(np.array([1.0, 0.0, 0.0, math.nan]))
+
+
+def test_statevector_stores_real_amplitudes():
+    state = StateVector(np.array([0.5 + 0j, 0.5, -0.5, 0.5]))  # complex input, zero imaginary part
+    assert state.amp.dtype == np.float64
+    assert state.amp.tolist() == [0.5, 0.5, -0.5, 0.5]
+    assert state.norm_sq() == 1.0
+    with pytest.raises(ValueError):
+        state.amp[0] = 1.0

@@ -354,8 +354,10 @@ def test_verify_cli_reports_unnormalized_states_with_exit_1(monkeypatch, capsys)
     scale_amplitudes(monkeypatch, 1.001)
     assert main(["verify", "--trials", "30", "--seed", "10"]) == 1
     lines = capsys.readouterr().out.splitlines()
+    # the scaled amplitudes move the simulator output as well as its states
     assert lines == [
-        "equivalence: PASS (30 trials)",
+        "equivalence: FAIL (30/30 failed; first failure at draw seed 10: "
+        "|sim - closed| = 2.415e-03)",
         "normalization: FAIL (30/30 failed; first failure at draw seed 10: "
         "| |psi|^2 - 1 | = 4.006e-03)",
         "boundedness: PASS (30 trials)",

@@ -1,3 +1,4 @@
+import errno
 import math
 import tempfile
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qubitfit.fileio as fileio_mod
 from qubitfit import CircuitParams, ParamsFileError, format_params, parse_params
 from qubitfit.fileio import (
     PARAM_KEYS,
@@ -18,7 +20,10 @@ from qubitfit.fileio import (
     read_params_file,
     write_params_file,
     write_run_csv,
+    write_summary,
+    write_trace_csv,
 )
+from qubitfit.svgplot import write_line_plot
 
 from conftest import random_params
 
@@ -198,3 +203,62 @@ def test_negative_zero_round_trips_with_sign():
     back = parse_params(format_params(params))
     assert math.copysign(1.0, back.theta1) == -1.0
     assert math.copysign(1.0, back.g[0]) == -1.0
+
+
+# every artifact writer, each writing several lines of text
+WRITERS = {
+    "params": lambda path: write_params_file(path, CircuitParams(0.1, -0.2, np.arange(4.0))),
+    "run_csv": lambda path: write_run_csv(path, [0.0, 1.0], [1.0, 2.0], [1.5, 2.5]),
+    "trace_csv": lambda path: write_trace_csv(path, [(0, 2.0), (5, 1.0)]),
+    "summary": lambda path: write_summary(path, 1.0, 0.5, 10, 7),
+    "svg": lambda path: write_line_plot(path, [0.0, 1.0], [("f", [1.0, 2.0], "#000000")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writers_replace_the_file_with_lf_text(name, tmp_path):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old contents that are longer than nothing\r\n" * 100)
+    WRITERS[name](path)
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and b"\r" not in data and b"old" not in data
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_a_write_that_fails_partway_keeps_the_old_file(name, tmp_path, monkeypatch):
+    # the disk fills after half of the text is written
+    def half_then_full(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        write = fh.write
+
+        def fail(text):
+            write(text[: len(text) // 2])
+            fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device", file)
+
+        fh.write = fail
+        return fh
+
+    path = tmp_path / "artifact"
+    path.write_bytes(b"keep\n")
+    monkeypatch.setattr(fileio_mod, "open", half_then_full, raising=False)
+    with pytest.raises(OSError) as info:
+        WRITERS[name](path)
+    assert info.value.errno == errno.ENOSPC
+    assert info.value.filename == str(path)  # the artifact, not the temporary file
+    assert path.read_bytes() == b"keep\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_failed_replace_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied", src)
+
+    path = tmp_path / "fit.params"
+    path.write_bytes(b"keep\n")
+    monkeypatch.setattr(fileio_mod.os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        WRITERS["params"](path)
+    assert path.read_bytes() == b"keep\n"
+    assert list(tmp_path.iterdir()) == [path]

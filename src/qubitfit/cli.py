@@ -1,11 +1,12 @@
 """Command line interface.
 
 Subcommands: fit, eval, coeffs, verify, reproduce. Exit codes: 0 success,
-1 verification or acceptance failure, 2 usage or parse error.
+1 verification or acceptance failure, 2 usage or parse error (one line on stderr).
 
-Option resolution order: explicit flag, then key of the same name in the
-config file (``--config`` or ``./qubitfit.conf``), then the QUBITFIT_SEED
-environment variable (seed only), then the built-in default.
+Options are declared once, in ``OPTIONS``, and each resolves once, before the
+subcommand runs: explicit flag, then the key of the same name in the config
+file (``--config`` or ``./qubitfit.conf``; its values are cast when it is
+read), then the QUBITFIT_SEED environment variable (seed only), then the default.
 """
 
 from __future__ import annotations
@@ -44,9 +45,18 @@ from .verify import run_suites
 
 CONFIG_NAME = "qubitfit.conf"
 SEED_ENV = "QUBITFIT_SEED"
-DEFAULT_SEED = 42
-# every key _resolve reads; anything else in a config file is a typo
-CONFIG_KEYS = frozenset({"n", "x0", "iterations", "restarts", "seed", "out_dir", "trials"})
+
+# name -> (type, default, help): every option a flag or a config key sets;
+# any other config key is a typo. The help is formatted with the default.
+OPTIONS = {
+    "n": (int, DEFAULT_N, "number of grid samples (default {})"),
+    "x0": (float, DEFAULT_X0, "half-width of the sample interval (default {})"),
+    "iterations": (int, DEFAULT_ITERATIONS, "optimizer iterations per restart (default {})"),
+    "restarts": (int, DEFAULT_RESTARTS, "independent restarts (default {})"),
+    "seed": (int, 42, f"master RNG seed (default ${SEED_ENV} or {{}})"),
+    "trials": (int, 1000, "number of random draws (default {})"),
+    "out_dir": (Path, Path("."), "output directory"),
+}
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -57,8 +67,15 @@ class CliError(Exception):
     """Invocation-level problem; reported once and mapped to exit code 2."""
 
 
-def _load_config(args) -> dict[str, str]:
-    path = getattr(args, "config", None)
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line on one line, like every other usage error."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
+
+
+def _load_config(path: str | None) -> dict:
+    """The config file's values, each cast by its option's type."""
     if path is None:
         if not Path(CONFIG_NAME).is_file():
             return {}
@@ -69,28 +86,38 @@ def _load_config(args) -> dict[str, str]:
         config = read_config(path)
     except ParamsFileError as exc:
         raise CliError(f"bad config file {path}: {exc}") from exc
-    unknown = sorted(set(config) - CONFIG_KEYS)
+    unknown = sorted(set(config) - set(OPTIONS))
     if unknown:
         raise CliError(f"unknown key(s) in config file {path}: {', '.join(unknown)}")
-    return config
-
-
-def _resolve(args, config, key, cast, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
+    values = {}
+    for key, text in config.items():
         try:
-            return cast(config[key])
+            values[key] = OPTIONS[key][0](text)
         except ValueError as exc:
             raise CliError(f"config key {key!r}: {exc}") from exc
-    if key == "seed" and os.environ.get(SEED_ENV):
-        raw = os.environ[SEED_ENV]
-        try:
-            return int(raw)
-        except ValueError:
-            raise CliError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
-    return default
+    return values
+
+
+def _resolve_options(args) -> None:
+    """Set each of the subcommand's options that no flag set: from the config
+    file, else QUBITFIT_SEED (seed only), else the default."""
+    if not args.options:
+        return
+    config = _load_config(args.config)
+    for name, default in args.options.items():
+        if getattr(args, name) is not None:
+            continue
+        if name in config:
+            value = config[name]
+        elif name == "seed" and os.environ.get(SEED_ENV):
+            raw = os.environ[SEED_ENV]
+            try:
+                value = int(raw)
+            except ValueError:
+                raise CliError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
+        else:
+            value = default
+        setattr(args, name, value)
 
 
 def _parse_poly(text: str) -> list[float]:
@@ -103,15 +130,12 @@ def _parse_poly(text: str) -> list[float]:
 
 
 def _make_target(args):
-    poly = getattr(args, "poly", None)
+    if args.poly is not None and args.target != "custom":
+        raise CliError("--poly needs --target custom")
     try:
-        return get_target(args.target, _parse_poly(poly) if poly is not None else None)
+        return get_target(args.target, None if args.poly is None else _parse_poly(args.poly))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-
-
-def _out_path(args, config) -> Path:
-    return Path(_resolve(args, config, "out_dir", str, "."))
 
 
 def _check_out_dir(out: Path) -> None:
@@ -146,27 +170,20 @@ def _load_params(path: str):
 
 
 def cmd_fit(args) -> int:
-    config = _load_config(args)
     target = _make_target(args)
-    n = _resolve(args, config, "n", int, DEFAULT_N)
-    x0 = _resolve(args, config, "x0", float, DEFAULT_X0)
-    iterations = _resolve(args, config, "iterations", int, DEFAULT_ITERATIONS)
-    restarts = _resolve(args, config, "restarts", int, DEFAULT_RESTARTS)
-    seed = _resolve(args, config, "seed", int, DEFAULT_SEED)
     # checked before training but created only after it, so that a usage
     # error leaves no directory behind
-    out = _out_path(args, config)
-    _check_out_dir(out)
+    _check_out_dir(args.out_dir)
     try:
-        grid = make_grid(n, x0)
-        cfg = OptimizerConfig(iterations=iterations, restarts=restarts, seed=seed)
+        grid = make_grid(args.n, args.x0)
+        cfg = OptimizerConfig(iterations=args.iterations, restarts=args.restarts, seed=args.seed)
         # a non-finite index is reported as an error, so numpy's overflow warnings are noise
         with np.errstate(over="ignore", invalid="ignore"):
             result = optimize(target, grid, cfg)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    _make_out_dir(out)
+    out = _make_out_dir(args.out_dir)
     stem = target.id
     try:
         write_params_file(out / f"{stem}.params", result.best)
@@ -177,25 +194,22 @@ def cmd_fit(args) -> int:
             circuit_expectation_grid(result.best, grid.points),
         )
         write_trace_csv(out / f"{stem}_trace.csv", result.j_trace)
-        write_summary(out / f"{stem}_summary.txt", result.j_final, result.max_error, result.evals, seed)
-        write_comparison_plot(out / f"{stem}.svg", target, result.best, x0)
+        write_summary(out / f"{stem}_summary.txt", result.j_final, result.max_error, result.evals, args.seed)
+        write_comparison_plot(out / f"{stem}.svg", target, result.best, args.x0)
     except OSError as exc:
         raise CliError(f"cannot write outputs to {out}: {exc}") from exc
 
     print(f"target={stem} J={result.j_final!r} max_error={result.max_error!r} "
-          f"evals={result.evals} seed={seed}")
+          f"evals={result.evals} seed={args.seed}")
     print(f"wrote {out / (stem + '.params')}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args)
     params = _load_params(args.params_file)
     target = _make_target(args)
-    n = _resolve(args, config, "n", int, DEFAULT_N)
-    x0 = _resolve(args, config, "x0", float, DEFAULT_X0)
     try:
-        grid = make_grid(n, x0)
+        grid = make_grid(args.n, args.x0)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -206,7 +220,7 @@ def cmd_eval(args) -> int:
     if not (math.isfinite(j) and math.isfinite(eps)):
         raise CliError(f"performance index is not finite (J={j!r}, max_error={eps!r})")
 
-    out = _make_out_dir(_out_path(args, config))
+    out = _make_out_dir(args.out_dir)
     try:
         write_run_csv(
             out / f"{target.id}_run.csv",
@@ -230,11 +244,8 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _load_config(args)
-    trials = _resolve(args, config, "trials", int, 1000)
-    seed = _resolve(args, config, "seed", int, DEFAULT_SEED)
     try:
-        results = run_suites(trials, seed)
+        results = run_suites(args.trials, args.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     ok = True
@@ -248,17 +259,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    config = _load_config(args)
-    seed = _resolve(args, config, "seed", int, DEFAULT_SEED)
-    iterations = _resolve(args, config, "iterations", int, DEFAULT_ITERATIONS)
-    restarts = _resolve(args, config, "restarts", int, DEFAULT_RESTARTS)
-    out = Path(_resolve(args, config, "out_dir", str, "reproduction"))
     try:
-        report = run_reproduction(out, seed=seed, iterations=iterations, restarts=restarts)
+        report = run_reproduction(args.out_dir, seed=args.seed, iterations=args.iterations,
+                                  restarts=args.restarts)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     except OSError as exc:
-        raise CliError(f"cannot write outputs to {out}: {exc}") from exc
+        raise CliError(f"cannot write outputs to {args.out_dir}: {exc}") from exc
     print(report.table_path.read_text(encoding="utf-8"))
     print(f"retraining wall time: {report.retrain_seconds:.1f} s")
     if report.all_passed:
@@ -268,25 +275,25 @@ def cmd_reproduce(args) -> int:
     return EXIT_FAILURE
 
 
-def _add_common(sub, config=True, out_dir=False, seed=False):
-    if config:
+def _add_options(sub, handler, names=(), **defaults):
+    """Add the flags of the named options, and --config if there are any;
+    ``defaults`` overrides the table's default for this subcommand."""
+    for name in names:
+        cast, default, text = OPTIONS[name]
+        sub.add_argument("--" + name.replace("_", "-"), dest=name, type=cast, help=text.format(default))
+    if names:
         sub.add_argument("--config", help=f"key=value config file (default: ./{CONFIG_NAME} if present)")
-    if out_dir:
-        sub.add_argument("--out-dir", dest="out_dir", help="output directory")
-    if seed:
-        sub.add_argument("--seed", type=int, help=f"master RNG seed (default ${SEED_ENV} or {DEFAULT_SEED})")
+    sub.set_defaults(handler=handler, options={name: defaults.get(name, OPTIONS[name][1]) for name in names})
 
 
 def _add_target(sub):
     sub.add_argument("--target", required=True, choices=TARGET_IDS,
                      help="target function to approximate")
     sub.add_argument("--poly", help="comma-separated polynomial coefficients, ascending; required for --target custom")
-    sub.add_argument("--n", type=int, help=f"number of grid samples (default {DEFAULT_N})")
-    sub.add_argument("--x0", type=float, help=f"half-width of the sample interval (default {DEFAULT_X0:g})")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qubitfit",
         description="Train and analyze a two-qubit product circuit as a least-squares function approximator.",
     )
@@ -294,31 +301,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("fit", help="train the circuit against a target function")
     _add_target(p)
-    p.add_argument("--iterations", type=int, help=f"optimizer iterations per restart (default {DEFAULT_ITERATIONS})")
-    p.add_argument("--restarts", type=int, help=f"independent restarts (default {DEFAULT_RESTARTS})")
-    _add_common(p, out_dir=True, seed=True)
-    p.set_defaults(handler=cmd_fit)
+    _add_options(p, cmd_fit, ("n", "x0", "iterations", "restarts", "seed", "out_dir"))
 
     p = commands.add_parser("eval", help="evaluate a parameter file against a target")
     p.add_argument("params_file", help="parameter file to evaluate")
     _add_target(p)
-    _add_common(p, out_dir=True)
-    p.set_defaults(handler=cmd_eval)
+    _add_options(p, cmd_eval, ("n", "x0", "out_dir"))
 
     p = commands.add_parser("coeffs", help="print the cubic coefficients for a parameter file")
     p.add_argument("params_file", help="parameter file to analyze")
-    p.set_defaults(handler=cmd_coeffs)
+    _add_options(p, cmd_coeffs)
 
     p = commands.add_parser("verify", help="run randomized simulator/closed-form self-checks")
-    p.add_argument("--trials", type=int, help="number of random draws (default 1000)")
-    _add_common(p, seed=True)
-    p.set_defaults(handler=cmd_verify)
+    _add_options(p, cmd_verify, ("trials", "seed"))
 
     p = commands.add_parser("reproduce", help="re-run the three bundled experiments and tabulate results")
-    p.add_argument("--iterations", type=int, help=f"optimizer iterations per restart (default {DEFAULT_ITERATIONS})")
-    p.add_argument("--restarts", type=int, help=f"independent restarts (default {DEFAULT_RESTARTS})")
-    _add_common(p, out_dir=True, seed=True)
-    p.set_defaults(handler=cmd_reproduce)
+    _add_options(p, cmd_reproduce, ("iterations", "restarts", "seed", "out_dir"), out_dir=Path("reproduction"))
 
     return parser
 
@@ -327,6 +325,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _resolve_options(args)
         return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

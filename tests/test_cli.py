@@ -1,6 +1,7 @@
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import qubitfit
 import qubitfit.cli as cli_mod
 import qubitfit.verify as verify_mod
 from qubitfit import (
+    OptimizerConfig,
     get_target,
     make_grid,
     performance_index,
@@ -267,6 +269,8 @@ def test_verify_cli_zero_trials_is_usage_error(capsys):
     ["fit", "--target", "custom", "--poly", "1,2,", "--iterations", "5", "--restarts", "1"],
     ["eval", BUNDLED_QUADRATIC, "--target", "custom", "--poly", "1e308,1e308,1e308"],
     ["fit", "--target", "gaussian", "--seed", "-1", "--out-dir", "new"],
+    # a builtin target takes no coefficients; they were once silently ignored
+    ["fit", "--target", "quadratic", "--poly", "1,2,3"],
 ])
 def test_invalid_values_give_one_line_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -395,13 +399,134 @@ def test_help_screens_exit_zero(capsys):
         assert capsys.readouterr().out  # usage text printed
 
 
-def test_missing_subcommand_is_usage_error():
+def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: qubitfit: ") and err.count("\n") == 1, err
 
 
-def test_unknown_flag_is_usage_error():
+def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--target", "quadratic", "--frobnicate"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: qubitfit") and "--frobnicate" in err, err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["fit", "--target", "quadratic", "--n", "ten"],
+     "error: qubitfit fit: argument --n: invalid int value: 'ten'\n"),
+    (["eval", BUNDLED_QUADRATIC, "--target", "quadratic", "--x0", "wide"],
+     "error: qubitfit eval: argument --x0: invalid float value: 'wide'\n"),
+])
+def test_a_malformed_flag_value_is_a_one_line_usage_error(argv, err, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.fixture
+def resolved(tmp_path, monkeypatch):
+    """Record the option values each subcommand hands on, without training,
+    verifying or reproducing anything; the working directory is an empty one."""
+    seen = {}
+    real_make_grid, real_optimize = cli_mod.make_grid, cli_mod.optimize
+
+    def make_grid(n, x0):
+        seen.update(n=n, x0=x0)
+        return real_make_grid(n, x0)
+
+    def optimize(target, grid, cfg):
+        seen.update(iterations=cfg.iterations, restarts=cfg.restarts, seed=cfg.seed)
+        return real_optimize(target, grid, OptimizerConfig(iterations=1, restarts=1))
+
+    def write_run_csv(path, *columns):
+        seen.update(out_dir=path.parent)
+
+    def run_suites(trials, seed):
+        seen.update(trials=trials, seed=seed)
+        return []
+
+    def run_reproduction(out, *, seed, iterations, restarts):
+        seen.update(out_dir=out, seed=seed, iterations=iterations, restarts=restarts)
+        table = tmp_path / "table.md"
+        table.write_text("", encoding="utf-8")
+        return SimpleNamespace(table_path=table, retrain_seconds=0.0, all_passed=True)
+
+    for fake in (make_grid, optimize, write_run_csv, run_suites, run_reproduction):
+        monkeypatch.setattr(cli_mod, fake.__name__, fake)
+    monkeypatch.chdir(tmp_path)
+    return seen
+
+
+SUBCOMMANDS = {
+    "fit": ["fit", "--target", "quadratic"],
+    "eval": ["eval", BUNDLED_QUADRATIC, "--target", "quadratic"],
+    "verify": ["verify"],
+    "reproduce": ["reproduce"],
+}
+
+# option -> (flag value, config value, value read back for each)
+SETTINGS = {
+    "n": ("7", "9", int),
+    "x0": ("0.5", "0.25", float),
+    "iterations": ("3", "4", int),
+    "restarts": ("2", "3", int),
+    "seed": ("11", "12", int),
+    "trials": ("5", "6", int),
+    "out_dir": ("flag", "conf", Path),
+}
+
+
+@pytest.mark.parametrize("command, name, default", [
+    ("fit", "n", 30), ("fit", "x0", 1.5), ("fit", "iterations", 5000), ("fit", "restarts", 10),
+    ("fit", "seed", 42), ("fit", "out_dir", Path(".")),
+    ("eval", "n", 30), ("eval", "x0", 1.5), ("eval", "out_dir", Path(".")),
+    ("verify", "trials", 1000), ("verify", "seed", 42),
+    ("reproduce", "iterations", 5000), ("reproduce", "restarts", 10), ("reproduce", "seed", 42),
+    ("reproduce", "out_dir", Path("reproduction")),
+])
+def test_each_option_resolves_flag_then_config_then_default(command, name, default, resolved, tmp_path):
+    flag_value, config_value, read = SETTINGS[name]
+    flag = ["--" + name.replace("_", "-"), flag_value]
+
+    def run(*extra):
+        resolved.clear()
+        assert main(SUBCOMMANDS[command] + list(extra)) == 0
+        return resolved[name]
+
+    assert run() == default
+    (tmp_path / "qubitfit.conf").write_text(f"{name}={config_value}\n", encoding="utf-8")
+    assert run() == read(config_value)
+    assert run(*flag) == read(flag_value)
+
+
+@pytest.mark.parametrize("command", ["fit", "verify", "reproduce"])
+def test_seed_from_the_environment_sits_between_config_and_default(command, resolved, tmp_path, monkeypatch):
+    def run():
+        resolved.clear()
+        assert main(SUBCOMMANDS[command]) == 0
+        return resolved["seed"]
+
+    monkeypatch.setenv("QUBITFIT_SEED", "77")
+    assert run() == 77
+    (tmp_path / "qubitfit.conf").write_text("seed=5\n", encoding="utf-8")
+    assert run() == 5
+
+
+@pytest.mark.parametrize("command", ["fit", "eval", "verify", "reproduce"])
+def test_a_malformed_config_value_fails_every_subcommand_that_reads_config(
+    command, resolved, tmp_path, capsys
+):
+    # checked when the file is read, also where the subcommand has no use for the key
+    (tmp_path / "qubitfit.conf").write_text("n=ten\n", encoding="utf-8")
+    assert main(SUBCOMMANDS[command]) == 2
+    assert capsys.readouterr() == (
+        "", "error: config key 'n': invalid literal for int() with base 10: 'ten'\n"
+    )
+    assert resolved == {}
+    assert main(["coeffs", BUNDLED_QUADRATIC]) == 0  # reads no config file

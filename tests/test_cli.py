@@ -283,6 +283,14 @@ def test_invalid_values_give_one_line_usage_error(argv, tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
+def test_verify_cli_rejects_a_non_integer_seed_on_one_line(monkeypatch, capsys):
+    # a seed option that let a float through must not truncate it
+    monkeypatch.setitem(cli_mod.OPTIONS, "seed", (float, 42.0, "seed"))
+    assert main(["verify", "--trials", "5", "--seed", "1.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+
+
 NO_MEMORY = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
 
 

@@ -48,6 +48,32 @@ def test_block_draws_equal_uniform_calls_over_a_full_run(seed):
     assert_draws_match_oracle(2000, seed)
 
 
+# runs whose seeds cross a 32-bit word boundary change SeedSequence's
+# entropy word count; past 2**128 the extra words take extra mixing rounds
+@pytest.mark.parametrize("seed", [0, 2**32 - 3, 2**64 - 3, 2**96 - 3, 2**128 - 3])
+def test_draws_equal_uniform_calls_across_a_word_boundary(seed):
+    assert_draws_match_oracle(7, seed)
+
+
+def test_draws_equal_uniform_calls_past_the_pool():
+    assert_draws_match_oracle(7, 2**160)
+
+
+@given(st.integers(0, 2**160), st.integers(1, 40))
+@settings(max_examples=50, deadline=None)
+def test_draws_equal_uniform_calls_for_any_seed(seed, trials):
+    assert_draws_match_oracle(trials, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 5])
+def test_one_remainder_call_equals_one_call_per_step(seed):
+    rows, _ = verify_mod._draws(2000, seed)
+    both = verify_mod.cubic_remainder(rows, np.array([[1e-2], [2e-2]]))
+    assert both.shape == (2, 2000)
+    assert both[0].tobytes() == verify_mod.cubic_remainder(rows, 1e-2).tobytes()
+    assert both[1].tobytes() == verify_mod.cubic_remainder(rows, 2e-2).tobytes()
+
+
 def test_all_suites_pass_on_correct_build():
     results = run_suites(200, seed=1)
     assert tuple(r.name for r in results) == SUITE_NAMES
@@ -63,6 +89,17 @@ def test_trials_must_be_positive():
         run_suites(0, seed=1)
     with pytest.raises(ValueError):
         run_suites(-5, seed=1)
+
+
+@pytest.mark.parametrize("trials, seed", [(10, 1.5), (10.0, 1), (10, "1"), (10, None)])
+def test_trials_and_seed_must_be_integers(trials, seed):
+    # a float seed must not be truncated to a neighbouring draw seed
+    with pytest.raises(ValueError, match="must be integers"):
+        run_suites(trials, seed)
+
+
+def test_numpy_integers_are_accepted():
+    assert run_suites(np.int64(20), np.uint64(5)) == run_suites(20, 5)
 
 
 def test_single_trial_runs():
@@ -176,7 +213,7 @@ def test_first_failure_of_a_partly_skewed_closed_form(monkeypatch):
 def test_first_failure_of_a_partly_skewed_remainder(monkeypatch):
     # the larger step's remainder grows 100x on draws with theta1 > 0
     real = verify_mod.cubic_remainder
-    skew = lambda v, x: real(v, x) * (np.where(v[..., 0] > 0, 100.0, 1.0) if x == 2e-2 else 1.0)
+    skew = lambda v, x: real(v, x) * np.where((v[..., 0] > 0) & (np.asarray(x) == 2e-2), 100.0, 1.0)
     monkeypatch.setattr(verify_mod, "cubic_remainder", skew)
 
     def check(v, _x):

@@ -5,6 +5,13 @@ keep it only if the index strictly improves. A successful step direction
 is replayed until it stops paying off (the "run"); a streak of rejected
 proposals shrinks the step scale. Everything is driven by a single seeded
 generator per restart, so results are reproducible bit for bit.
+
+Each restart owns one :class:`~qubitfit.objective.PreparedIndex`: the
+target values and a kernel workspace that every one of its evaluations
+reuses. Each evaluation is still one call of ``performance_index``. Fresh
+proposals come from a block of normals, and the candidates for the rest
+of a block come from one add, made again after an accepted step or a
+shrink of the step scale.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitParams
-from .objective import SampleGrid, TargetFunction, max_pointwise_error, performance_index
+from .objective import PreparedIndex, SampleGrid, TargetFunction, max_pointwise_error, performance_index
 
 N_DIM = 6
 # rows of standard normals drawn at once for the proposals of one restart
@@ -93,52 +100,62 @@ def _run_restart(
     restart_seed: int,
 ) -> tuple[np.ndarray, float, list[tuple[int, float]], int]:
     rng = np.random.default_rng(restart_seed)
+    prepared = PreparedIndex.of(target_values, grid)
     point = cfg.init.as_vector() if cfg.init is not None else random_vector(rng)
     # the index takes the raw vector: a candidate with a non-finite entry
     # gets a non-finite index and is rejected below, so only the returned
     # best point is validated (in optimize)
-    current = performance_index(point, target, grid, target_values)
+    current = performance_index(point, target, grid, prepared)
     evals = 1
     if not math.isfinite(current):
         raise ValueError("performance index is not finite at the starting point")
 
     trace = [(0, current)]
     sigma = cfg.sigma0
+    fail_streak, sigma_shrink = cfg.fail_streak, cfg.sigma_shrink
     fails = 0
     run_direction: np.ndarray | None = None
     # Proposals take rows of a block of standard normals z, scaled as
     # 0.0 + sigma * z: the doubles of one rng.normal(0.0, sigma, N_DIM) call
     # per proposal, since numpy's normal is loc + scale * standard_normal()
     # and the generator serves nothing else from here on. The scaled block
-    # is remade only when a new block is drawn or sigma shrinks.
-    z = steps = None
+    # is remade only when a new block is drawn or sigma shrinks. The
+    # candidates of the block's remaining rows k.. come from one add,
+    # point + steps[k:], whose rows equal point + steps[k] bit for bit and
+    # end with the block, so row k is cands[k - NORMAL_BLOCK]; the add is
+    # remade when the point or the steps change.
+    z = steps = cands = None
     k = NORMAL_BLOCK
     for it in range(1, cfg.iterations + 1):
         if run_direction is not None:
-            step = run_direction
+            candidate = point + run_direction
         else:
             if k == NORMAL_BLOCK:
-                z, steps, k = rng.standard_normal((NORMAL_BLOCK, N_DIM)), None, 0
-            if steps is None:
-                steps = sigma * z + 0.0
-            step = steps[k]
+                z, k = rng.standard_normal((NORMAL_BLOCK, N_DIM)), 0
+                steps = cands = None
+            if cands is None:
+                if steps is None:
+                    steps = sigma * z + 0.0
+                cands = point + steps[k:]
+            candidate = cands[k - NORMAL_BLOCK]
             k += 1
-        candidate = point + step
-        value = performance_index(candidate, target, grid, target_values)
+        value = performance_index(candidate, target, grid, prepared)
         evals += 1
         if math.isfinite(value) and value < current:
             point, current = candidate, value
-            run_direction = step
+            if run_direction is None:
+                run_direction = steps[k - 1]
             fails = 0
             trace.append((it, current))
+            cands = None
         else:
             # a non-finite candidate counts as an ordinary rejection
             run_direction = None
             fails += 1
-            if fails >= cfg.fail_streak:
-                sigma *= cfg.sigma_shrink
+            if fails >= fail_streak:
+                sigma *= sigma_shrink
                 fails = 0
-                steps = None
+                steps = cands = None
     return point, current, trace, evals
 
 

@@ -23,13 +23,17 @@ inputs and trailing batch axes of the parameters. It feeds both the state
 (:func:`prepare_state`) and the output (the kernel
 :func:`circuit_expectation_grid`, which :func:`circuit_expectation` calls).
 
-The optimizer evaluates the kernel once per proposal, with one raw
-``(6,)`` vector over the grid, so that call carries no set-up beyond its
-arithmetic: the layout constants are made once per input rank
-(:func:`_leading_axes`), only a batch computes its own shapes, the
-amplitudes are written, scaled and squared in one buffer, and the four
-terms are summed in index order by in-place additions. Over an array of
-inputs the output is a fresh array, which the caller may overwrite.
+Every step of the kernel writes into a :class:`Workspace`, built once
+for a parameter layout and an input array: buffers for the half-angles,
+cos, sin, amplitudes, terms and output, and the views the kernel reads
+them through. Its thirteen ufuncs each write through their output
+argument; the amplitudes are written, scaled and squared in one buffer,
+and the four terms are summed in index order by in-place additions. A
+plain call builds its own workspace, so its output is a fresh array,
+which the caller may overwrite. The optimizer evaluates the kernel once
+per proposal, with one raw ``(6,)`` vector over the grid, so it keeps one
+workspace per restart and passes it in: such a call allocates no buffer
+and makes only the two views of the vector it reads.
 
 Parameters come as a ``CircuitParams`` or as raw rows
 ``[theta1, theta2, g0..g3]``, so the optimizer and the self-checks build
@@ -39,13 +43,13 @@ shape ``(6,)`` or a batch of shape ``(T, 6)``, paired with the inputs by
 broadcasting. One point keeps the scalar types (a ``float``, a
 :class:`StateVector`); a batch gives arrays.
 
-All functions here are pure and all values immutable after construction,
-so concurrent use needs no synchronization.
+All functions here are pure and all values other than a
+:class:`Workspace` immutable after construction, so concurrent use needs
+no synchronization as long as each workspace serves one caller.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -58,18 +62,6 @@ NORM_TOL = 1e-12
 _HALF, _SCALE = np.array(0.5), np.array(1.0 / math.sqrt(2.0))
 _HALF.setflags(write=False)
 _SCALE.setflags(write=False)
-
-
-@functools.cache
-def _leading_axes(k: int) -> tuple[tuple, tuple[int, ...]]:
-    """The single-vector kernel's layout constants for ``k`` input axes.
-
-    The index that takes (theta2, theta1) from the vector with ``k`` new
-    axes behind the tensor-slot axis, and the shape that puts the (basis
-    bit, slot) axes of the diagonal in front of ``k`` broadcast axes. Made
-    once per rank, so that a call builds none.
-    """
-    return (slice(1, None, -1),) + (None,) * k, (2, 2) + (1,) * k
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,37 +153,65 @@ def _param_rows(params: CircuitParams | np.ndarray) -> np.ndarray:
     return v
 
 
-def _amplitudes(v: np.ndarray, xs) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The per-qubit amplitudes of raw parameters ``v`` at inputs ``xs``, unsquared.
+class Workspace:
+    """The kernel's buffers and views for one parameter layout and one input array.
 
-    ``v`` is one vector ``(6,)`` or has trailing batch axes ``(6, *B)``.
-    Returns ``p`` with ``p[b, slot]`` the amplitude of basis bit ``b`` in
-    tensor slot ``slot`` (the first carries theta2), over the broadcast
-    axes of ``B`` and ``xs``, and the shape that puts the diagonal's
-    (b_first, b_second) axes in front of those axes. Each pair is
-    ((c - s), (c + s)) / sqrt(2) at the half-angle (x - theta) / 2.
+    Built once for raw parameters of shape ``(6,)`` or ``(6, *B)`` and
+    the inputs ``xs`` (kept, as a float array, in ``xs``). It holds an
+    output buffer for every step of the kernel (half-angles, cos, sin,
+    amplitudes, terms and output) and the views the kernel reads them
+    through, so an evaluation on it allocates no buffer and lays nothing
+    out: only the parameters' own two views are made per call. Every
+    evaluation overwrites every buffer it reads, so no value of one call
+    reaches the next, and the output is overwritten by the next call.
     """
-    xs = np.asarray(xs, dtype=float)
-    if v.ndim > 1:
-        # the batch axes B of v, right-aligned against the input axes
-        tail = (1,) * (xs.ndim - v.ndim + 1) + v.shape[1:]
-        theta, pair_shape = v[1::-1].reshape((2,) + tail), (2, 2) + tail
-    else:
-        # the single vector (every training call) builds no shape
-        index, pair_shape = _leading_axes(xs.ndim)
-        theta = v[index]
+
+    def __init__(self, shape: tuple[int, ...], xs) -> None:
+        self.xs = np.asarray(xs, dtype=float)
+        self.shape = shape = tuple(shape)
+        # the batch axes B of the parameters, right-aligned against the
+        # input axes; a single vector puts only new axes behind its slot axis
+        extra = max(0, self.xs.ndim - len(shape) + 1)
+        tail = (1,) * extra + shape[1:]
+        # (theta2, theta1) with the new axes, and the diagonal's
+        # (b_first, b_second) axes in front of the broadcast axes
+        self.theta_index = (slice(1, None, -1),) + (None,) * extra
+        self.g_shape = (2, 2) + tail
+        self.half = np.empty(np.broadcast_shapes((2,) + tail, self.xs.shape))
+        self.cos, self.sin = np.empty_like(self.half), np.empty_like(self.half)
+        # p[b, slot]: the amplitude of basis bit b in tensor slot slot
+        self.p = np.empty((2,) + self.half.shape)
+        self.p0, self.p1 = self.p[0], self.p[1]
+        self.first, self.second = self.p[:, 0, None], self.p[:, 1]
+        self.terms = np.empty(np.broadcast_shapes(self.g_shape, self.first.shape))
+        # with the ellipsis, a term row is a view even when it is 0-d
+        self.t00, self.t01 = self.terms[0, 0, ...], self.terms[0, 1, ...]
+        self.t10, self.t11 = self.terms[1, 0, ...], self.terms[1, 1, ...]
+        self.out = np.empty(self.terms.shape[2:])
+
+
+def _amplitudes(v: np.ndarray, ws: Workspace) -> np.ndarray:
+    """The per-qubit amplitudes of raw parameters ``v`` at the inputs of ``ws``, unsquared.
+
+    ``v`` has the shape ``ws`` was built for. Writes and returns
+    ``ws.p``, with ``p[b, slot]`` the amplitude of basis bit ``b`` in
+    tensor slot ``slot`` (the first carries theta2), over the broadcast
+    axes of ``B`` and the inputs. Each pair is ((c - s), (c + s)) / sqrt(2)
+    at the half-angle (x - theta) / 2.
+    """
     # axis 0 of half is the tensor slot, and (x - theta) * 0.5 is
     # 0.5 * (x - theta) exactly; the amplitudes c - s and c + s go into one
     # buffer, the slot's basis bit on axis 0, and are scaled there (a
     # ufunc's third argument is its output)
-    half = xs - theta
-    half *= _HALF
-    c, s = np.cos(half), np.sin(half)
-    p = np.empty((2,) + half.shape)
-    np.subtract(c, s, p[0])
-    np.add(c, s, p[1])
-    p *= _SCALE
-    return p, pair_shape
+    half, c, s, p = ws.half, ws.cos, ws.sin, ws.p
+    np.subtract(ws.xs, v[ws.theta_index], half)
+    np.multiply(half, _HALF, half)
+    np.cos(half, c)
+    np.sin(half, s)
+    np.subtract(c, s, ws.p0)
+    np.add(c, s, ws.p1)
+    np.multiply(p, _SCALE, p)
+    return p
 
 
 def prepare_state(params: CircuitParams | np.ndarray, x):
@@ -206,7 +226,8 @@ def prepare_state(params: CircuitParams | np.ndarray, x):
     gives the real ``(T, 4)`` amplitude rows, unvalidated, so a caller
     can measure how far each is from unit norm.
     """
-    p, _ = _amplitudes(_param_rows(params).T, x)
+    v = _param_rows(params).T
+    p = _amplitudes(v, Workspace(v.shape, x))
     # amplitude index 2*i + j: basis bit i of the first slot, j of the second
     amp = np.stack([p[i, 0] * p[j, 1] for i in (0, 1) for j in (0, 1)], axis=-1)
     return StateVector(amp) if amp.ndim == 1 else amp
@@ -224,7 +245,9 @@ def circuit_expectation(params: CircuitParams | np.ndarray, x):
     return float(out) if out.ndim == 0 else out
 
 
-def circuit_expectation_grid(params: CircuitParams | np.ndarray, xs: np.ndarray) -> np.ndarray:
+def circuit_expectation_grid(
+    params: CircuitParams | np.ndarray, xs: np.ndarray, workspace: Workspace | None = None
+) -> np.ndarray:
     """Circuit output over an array of inputs (or a scalar).
 
     ``params`` is a :class:`CircuitParams`, its raw vector
@@ -234,25 +257,32 @@ def circuit_expectation_grid(params: CircuitParams | np.ndarray, xs: np.ndarray)
     ``ValueError``, but their entries are not checked, so a non-finite
     entry gives a non-finite output.
 
+    Without ``workspace`` the call builds its own, so the output is a
+    fresh array (a scalar for one point). With one, ``xs`` must be the
+    workspace's own ``xs`` and the parameters of its shape, and the output
+    is the workspace's buffer, overwritten by its next evaluation.
+
     The amplitudes of :func:`_amplitudes`, squared into probabilities,
     then the expectation of the diagonal observable, vectorized over the
     inputs and the batch. This is what the objective evaluates, so it
     stays on the amplitude route rather than any closed-form shortcut.
     """
-    if isinstance(params, CircuitParams):
-        v = params.as_vector()
-    else:
-        v = np.asarray(params, dtype=float)
+    v = params.as_vector() if isinstance(params, CircuitParams) else np.asarray(params, dtype=float)
+    ws = workspace
+    if ws is None:
         if v.shape != (6,) and (v.ndim < 2 or v.shape[0] != 6):
             raise ValueError(f"parameters must have shape (6,) or (6, *B), got shape {v.shape}")
-    p, pair_shape = _amplitudes(v, xs)
+        ws = Workspace(v.shape, xs)
+    elif v.shape != ws.shape or xs is not ws.xs:
+        raise ValueError(f"the workspace serves parameters of shape {ws.shape} at its own inputs xs only")
+    p = _amplitudes(v, ws)
     np.square(p, p)
     # term (b_first, b_second) is (g_b * p_first) * p_second, as one qubit
     # at a time would compute it; the four are summed in index order
-    terms = v[2:].reshape(pair_shape) * p[:, 0, None]
-    terms *= p[:, 1]
-    out = terms[0, 0] + terms[0, 1]
-    out += terms[1, 0]
-    out += terms[1, 1]
-    return out
-
+    terms, out = ws.terms, ws.out
+    np.multiply(v[2:].reshape(ws.g_shape), ws.first, terms)
+    np.multiply(terms, ws.second, terms)
+    np.add(ws.t00, ws.t01, out)
+    np.add(out, ws.t10, out)
+    np.add(out, ws.t11, out)
+    return out if out.ndim else out[()]

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuit import CircuitParams, circuit_expectation_grid
+from .circuit import CircuitParams, Workspace, circuit_expectation_grid
 
 TARGET_IDS = ("quadratic", "gaussian", "sigmoid", "custom")
 
@@ -66,29 +66,55 @@ def make_grid(n: int, x0: float) -> SampleGrid:
         raise ValueError(f"grid needs at least 2 points, got n={n}")
     if not (math.isfinite(x0) and x0 > 0):
         raise ValueError(f"grid half-width must be positive and finite, got x0={x0}")
-    points = np.linspace(-x0, x0, n)
+    # linspace steps by the span 2*x0 / (n - 1) and scales its steps back
+    # up; past about 8.99e307 that overflows and the points come out NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = np.linspace(-x0, x0, n)
+    if not np.isfinite(points).all():
+        raise ValueError(f"grid span 2*x0 must not overflow, got x0={x0}")
     points.setflags(write=False)
     return SampleGrid(points=points, n=int(n), x0=float(x0))
+
+
+@dataclass(frozen=True)
+class PreparedIndex:
+    """What many evaluations of the index on one grid share.
+
+    ``values`` are ``target.fn(grid.points)``, only read; ``workspace``
+    is a :class:`~qubitfit.circuit.Workspace` for one raw vector at
+    ``grid.points``, whose buffers every evaluation reuses.
+    """
+
+    values: np.ndarray
+    workspace: Workspace
+
+    @classmethod
+    def of(cls, values: np.ndarray, grid: SampleGrid) -> "PreparedIndex":
+        return cls(values, Workspace((6,), grid.points))
 
 
 def performance_index(
     params: CircuitParams | np.ndarray,
     target: TargetFunction,
     grid: SampleGrid,
-    target_values: np.ndarray | None = None,
+    prepared: PreparedIndex | None = None,
 ) -> float:
     """Sum of squared residuals between target and circuit output over the grid.
 
     ``params`` may be the raw vector ``[theta1, theta2, g0..g3]``, which is
     not validated: a non-finite entry gives a non-finite index.
-    ``target_values`` are ``target.fn(grid.points)`` when the caller has
-    them already, as a loop over many evaluations does; they are only read.
+    ``prepared`` comes from a caller that evaluates the index many times
+    on ``grid``, as the optimizer does: its target values stand in for
+    ``target.fn(grid.points)`` and the kernel runs on its workspace, so
+    the evaluation allocates no buffer.
     """
-    if target_values is None:
-        target_values = target.fn(grid.points)
-    # the kernel's output is a fresh array, so the residual can overwrite it
-    r = circuit_expectation_grid(params, grid.points)
-    np.subtract(target_values, r, out=r)
+    if prepared is None:
+        values, r = target.fn(grid.points), circuit_expectation_grid(params, grid.points)
+    else:
+        values, r = prepared.values, circuit_expectation_grid(params, grid.points, prepared.workspace)
+    # the kernel's output is its own array (fresh, or the workspace's), so
+    # the residual can overwrite it
+    np.subtract(values, r, out=r)
     return float(np.dot(r, r))
 
 

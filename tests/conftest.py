@@ -26,12 +26,39 @@ def reproduction_report(tmp_path_factory):
     return run_reproduction(out, seed=42)
 
 
+def workspace_rows() -> np.ndarray:
+    """Raw rows that one kernel workspace must evaluate as if each came alone.
+
+    Finite rows, then NaN and +-inf in theta and in g, then entries near
+    1e308 (squares and sums that overflow), then finite rows again.
+    """
+    inf, nan = np.inf, np.nan
+    finite = [
+        [0.4, -0.7, 0.5, -1.2, 1.8, -0.3],
+        [-2.9, 3.1, -1.9, 0.2, 1.1, 1.7],
+    ]
+    rows = finite + [
+        [nan, -0.7, 0.5, -1.2, 1.8, -0.3],
+        [0.4, inf, 0.5, -1.2, 1.8, -0.3],
+        [-inf, 0.2, 0.5, -1.2, 1.8, -0.3],
+        [0.4, -0.7, nan, -1.2, 1.8, -0.3],
+        [0.4, -0.7, 0.5, inf, 1.8, -0.3],
+        [0.4, -0.7, 0.5, -1.2, -inf, inf],
+        [1e308, -1.7e308, 0.5, -1.2, 1.8, -0.3],
+        [0.4, -0.7, 1.7e308, 1.7e308, 1.7e308, 1.7e308],
+        [1.7e308, 1e308, -1e308, 1.7e308, -1.7e308, 1e308],
+    ] + finite[::-1] + finite
+    return np.array(rows)
+
+
 def scale_amplitudes(monkeypatch, factor):
     """Scale the simulator's per-qubit amplitudes: its states and its output both move."""
     real = circuit_mod._amplitudes
 
-    def scaled(v, xs):
-        p, pair_shape = real(v, xs)
-        return p * factor, pair_shape
+    def scaled(v, ws):
+        # in place: the kernel reads the amplitudes through the workspace's views
+        p = real(v, ws)
+        p *= factor
+        return p
 
     monkeypatch.setattr(circuit_mod, "_amplitudes", scaled)

@@ -16,7 +16,8 @@ from qubitfit import (
     optimize,
     performance_index,
 )
-from qubitfit.chemotaxis import random_vector
+import qubitfit.chemotaxis as chemotaxis_mod
+from qubitfit.chemotaxis import NORMAL_BLOCK, random_vector
 
 from oracles import chemotaxis_restart, uniform_vector
 
@@ -109,6 +110,61 @@ def test_steps_follow_the_normal_law_through_shrinks(init):
 def test_steps_follow_the_normal_law_for_any_seed(seed):
     cfg = OptimizerConfig(iterations=300, restarts=1, seed=seed, fail_streak=10)
     assert_optimize_equals_oracle(get_target("quadratic"), make_grid(30, 1.5), cfg)
+
+
+def test_one_index_call_per_evaluation_across_blocks_accepts_and_shrinks(monkeypatch):
+    # every evaluation is one call of the index through the module's name,
+    # with the candidate the per-proposal oracle loop builds
+    target, grid = get_target("sigmoid"), make_grid(30, 1.5)
+    cfg = OptimizerConfig(iterations=900, restarts=2, seed=5, fail_streak=10)
+    real = chemotaxis_mod.performance_index
+    calls = []
+
+    def counted(params, *args):
+        value = real(params, *args)
+        calls.append((params.tobytes(), value))
+        return value
+
+    monkeypatch.setattr(chemotaxis_mod, "performance_index", counted)
+    result = optimize(target, grid, cfg)
+    assert len(calls) == result.evals == cfg.restarts * (cfg.iterations + 1)
+
+    oracle_calls = []
+
+    def index(v):
+        value = performance_index(v, target, grid)
+        oracle_calls.append((v.tobytes(), value))
+        return value
+
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng(cfg.seed + r)
+        chemotaxis_restart(index, uniform_vector(rng), rng, cfg.iterations,
+                           cfg.sigma0, cfg.sigma_shrink, cfg.fail_streak)
+    assert calls == oracle_calls
+
+    # the calls cover accepts followed by a rejection, and shrinks, in the
+    # middle of a block of normals as well as across blocks
+    accept_then_reject = shrinks = 0
+    for r in range(cfg.restarts):
+        values = [value for _, value in calls[r * (cfg.iterations + 1):(r + 1) * (cfg.iterations + 1)]]
+        current, replaying, drawn, fails = values[0], False, 0, 0
+        accepted_mid_block = False
+        for value in values[1:]:
+            fresh = not replaying
+            drawn += fresh
+            mid_block = fresh and drawn % NORMAL_BLOCK not in (0, 1)
+            if math.isfinite(value) and value < current:
+                current, replaying, fails = value, True, 0
+                accepted_mid_block = mid_block
+            else:
+                accept_then_reject += accepted_mid_block
+                replaying, accepted_mid_block = False, False
+                fails += 1
+                if fails == cfg.fail_streak:
+                    shrinks += mid_block
+                    fails = 0
+    assert drawn > 2 * NORMAL_BLOCK
+    assert accept_then_reject > 10 and shrinks > 10
 
 
 def test_optimize_evaluates_the_target_once():

@@ -10,10 +10,12 @@ from qubitfit import (
     StateVector,
     circuit_expectation,
     circuit_expectation_grid,
+    make_grid,
     prepare_state,
 )
+from qubitfit.circuit import Workspace
 
-from conftest import random_params
+from conftest import random_params, workspace_rows
 from oracles import matrix_expectation, per_qubit_grid, per_qubit_state, product_expectation
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
@@ -204,6 +206,36 @@ def test_kernel_equals_per_qubit_arithmetic_on_non_finite_and_huge_rows():
             assert np.array_equal(got_paired, per_qubit_grid(v[0], v[1], v[2:], x), equal_nan=True)
             assert np.array_equal(got, per_qubit_grid(v[0], v[1], v[2:], grid), equal_nan=True)
     assert np.isnan(batched).any() and np.isinf(batched).any() and np.isfinite(batched).any()
+
+
+def test_a_workspace_carries_nothing_from_one_row_to_the_next():
+    # one workspace fed finite, non-finite, near-overflow and finite rows
+    # again: each output is the workspace's own buffer and has the bits of
+    # a fresh call, and the per-qubit arithmetic's values, NaN in the same
+    # places
+    grid = make_grid(30, 1.5)
+    ws = Workspace((6,), grid.points)
+    assert ws.xs is grid.points
+    with np.errstate(all="ignore"):
+        for v in workspace_rows():
+            got = circuit_expectation_grid(v, grid.points, ws)
+            assert got is ws.out
+            assert got.tobytes() == circuit_expectation_grid(v, grid.points).tobytes()
+            assert np.array_equal(got, per_qubit_grid(v[0], v[1], v[2:], grid.points), equal_nan=True)
+
+
+def test_a_workspace_serves_only_its_own_layout_and_inputs():
+    grid = make_grid(30, 1.5)
+    ws = Workspace((6,), grid.points)
+    v = np.array([0.4, -0.7, 0.5, -1.2, 1.8, -0.3])
+    with pytest.raises(ValueError):
+        circuit_expectation_grid(v, grid.points.copy(), ws)
+    with pytest.raises(ValueError):
+        circuit_expectation_grid(np.stack([v, v], axis=1), grid.points, ws)
+    batch = Workspace((6, 2), grid.points[:, None])
+    got = circuit_expectation_grid(np.stack([v, -v], axis=1), batch.xs, batch)
+    assert got.shape == (30, 2)
+    assert got[:, 0].tobytes() == circuit_expectation_grid(v, grid.points).tobytes()
 
 
 @given(angles, angles, diagonals, inputs)

@@ -283,6 +283,21 @@ def test_invalid_values_give_one_line_usage_error(argv, tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--target", "quadratic", "--x0", "1e308", "--iterations", "5", "--restarts", "1"],
+    ["eval", BUNDLED_QUADRATIC, "--target", "quadratic", "--x0", "1e308"],
+])
+def test_an_overflowing_grid_span_is_a_one_line_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # it once gave NaN grid points, numpy warnings on stderr and "performance
+    # index is not finite at the starting point"
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: grid span 2*x0 must not overflow, got x0=1e+308\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_cli_rejects_a_non_integer_seed_on_one_line(monkeypatch, capsys):
     # a seed option that let a float through must not truncate it
     monkeypatch.setitem(cli_mod.OPTIONS, "seed", (float, 42.0, "seed"))

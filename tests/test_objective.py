@@ -13,8 +13,9 @@ from qubitfit import (
     performance_index,
     polynomial_target,
 )
+from qubitfit.objective import PreparedIndex
 
-from conftest import random_params
+from conftest import random_params, workspace_rows
 from oracles import sum_of_squares_index
 
 
@@ -78,6 +79,17 @@ def test_grid_validation():
         make_grid(30, math.inf)
 
 
+def test_grid_span_must_not_overflow():
+    # past about 8.99e307 the span 2*x0 overflows and linspace gives NaN points
+    for x0 in (1e308, 8.99e307, np.finfo(float).max):
+        with pytest.raises(ValueError, match=r"^grid span 2\*x0 must not overflow, got x0="):
+            make_grid(30, x0)
+    with np.errstate(all="raise"):
+        grid = make_grid(30, 8.98e307)
+    assert (grid.points[0], grid.points[-1]) == (-8.98e307, 8.98e307)
+    assert np.isfinite(grid.points).all() and (np.diff(grid.points) > 0).all()
+
+
 def test_grid_points_are_read_only():
     grid = make_grid(5, 1.0)
     with pytest.raises(ValueError):
@@ -135,12 +147,32 @@ def test_index_with_precomputed_target_values_is_the_same_double():
         values = target.fn(grid.points)
         values.setflags(write=False)
         before = values.tobytes()
+        prepared = PreparedIndex.of(values, grid)
         for _ in range(20):
             p = random_params(rng)
             for params in (p, p.as_vector()):
                 want = performance_index(params, target, grid)
-                assert performance_index(params, target, grid, values) == want
+                assert performance_index(params, target, grid, prepared) == want
         assert values.tobytes() == before
+    assert grid.points.tobytes() == points
+
+
+def test_prepared_index_carries_nothing_from_one_row_to_the_next():
+    # one prepared workspace across finite, non-finite and near-overflow
+    # rows gives each row's own index and never writes the target values
+    # or the grid points
+    grid = make_grid(30, 1.5)
+    points = grid.points.tobytes()
+    target = get_target("sigmoid")
+    values = target.fn(grid.points)
+    before = values.tobytes()
+    prepared = PreparedIndex.of(values, grid)
+    with np.errstate(all="ignore"):
+        for v in workspace_rows():
+            got = performance_index(v, target, grid, prepared)
+            want = performance_index(v, target, grid)
+            assert got == want or (math.isnan(got) and math.isnan(want)), (v, got, want)
+    assert values.tobytes() == before
     assert grid.points.tobytes() == points
 
 

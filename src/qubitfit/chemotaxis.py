@@ -166,8 +166,14 @@ def optimize(target: TargetFunction, grid: SampleGrid, cfg: OptimizerConfig) -> 
     the merge picks the lowest final index with ties broken by lowest
     restart number.
     """
-    # one evaluation of the target serves every evaluation of the index
+    # one evaluation of the target serves every evaluation of the index; a
+    # target that is not finite there, or whose squares overflow, gives every
+    # start a non-finite index, so it is rejected by name before any restart
     values = target.fn(grid.points)
+    if not math.isfinite(np.dot(values, values)):
+        raise ValueError(
+            f"target {target.id!r} overflows the performance index on the grid with x0={grid.x0}"
+        )
     runs = [_run_restart(target, grid, values, cfg, cfg.seed + r) for r in range(cfg.restarts)]
 
     winner = min(range(len(runs)), key=lambda i: (runs[i][1], i))

@@ -17,23 +17,17 @@ shared with the closed-form expressions in :mod:`qubitfit.analytic` and
 must not be changed in one place only.
 
 The circuit is a product of two single-qubit circuits, and all its gates
-are real. One amplitude step, :func:`_amplitudes`, computes the real
-amplitude pairs of both qubits in one stacked pass, over scalar or array
-inputs and trailing batch axes of the parameters. It feeds both the state
-(:func:`prepare_state`) and the output (the kernel
-:func:`circuit_expectation_grid`, which :func:`circuit_expectation` calls).
-
-Every step of the kernel writes into a :class:`Workspace`, built once
-for a parameter layout and an input array: buffers for the half-angles,
-cos, sin, amplitudes, terms and output, and the views the kernel reads
-them through. Its thirteen ufuncs each write through their output
-argument; the amplitudes are written, scaled and squared in one buffer,
-and the four terms are summed in index order by in-place additions. A
-plain call builds its own workspace, so its output is a fresh array,
-which the caller may overwrite. The optimizer evaluates the kernel once
-per proposal, with one raw ``(6,)`` vector over the grid, so it keeps one
-workspace per restart and passes it in: such a call allocates no buffer
-and makes only the two views of the vector it reads.
+are real. A :class:`Workspace`, built for a parameter layout and an input
+array, binds the one kernel body over its own buffers. Its amplitude step
+computes the real amplitude pairs of both qubits in one stacked pass, over
+scalar or array inputs and trailing batch axes of the parameters, and
+feeds both the state (:func:`prepare_state`) and the output (the kernel
+:func:`circuit_expectation_grid`, which :func:`circuit_expectation`
+calls). Its thirteen ufuncs each write through their output argument. A
+plain call builds its own workspace, so its output is a fresh array, which
+the caller may overwrite. The optimizer keeps one workspace per restart
+and passes it in: a raw ``(6,)`` vector then goes straight to the bound
+kernel, which copies it in, runs its ufuncs and allocates nothing.
 
 Parameters come as a ``CircuitParams`` or as raw rows
 ``[theta1, theta2, g0..g3]``, so the optimizer and the self-checks build
@@ -154,64 +148,74 @@ def _param_rows(params: CircuitParams | np.ndarray) -> np.ndarray:
 
 
 class Workspace:
-    """The kernel's buffers and views for one parameter layout and one input array.
+    """The kernel bound to its buffers, for one parameter layout and one input array.
 
-    Built once for raw parameters of shape ``(6,)`` or ``(6, *B)`` and
-    the inputs ``xs`` (kept, as a float array, in ``xs``). It holds an
-    output buffer for every step of the kernel (half-angles, cos, sin,
-    amplitudes, terms and output) and the views the kernel reads them
-    through, so an evaluation on it allocates no buffer and lays nothing
-    out: only the parameters' own two views are made per call. Every
-    evaluation overwrites every buffer it reads, so no value of one call
-    reaches the next, and the output is overwritten by the next call.
+    Built once for raw parameters of shape ``(6,)`` or ``(6, *B)`` and the
+    inputs ``xs`` (kept, as a float array, in ``xs``), it binds the kernel
+    body over its buffers as two closures. Each takes an array ``v`` of the
+    workspace's shape, unchecked, copies it into a float buffer and
+    overwrites every buffer it reads, so no value of a call reaches the next:
+
+    - ``amplitudes(v)`` returns ``p``, with ``p[b, slot]`` the unsquared
+      amplitude of basis bit ``b`` in tensor slot ``slot`` (the first
+      carries theta2): ((c - s), (c + s)) / sqrt(2) at (x - theta) / 2;
+    - ``expectation(v)`` returns ``out``, the output over ``B`` and ``xs``.
+
+    The closures hold the buffers, never the workspace, so a dropped
+    workspace is freed at once, without the cyclic garbage collector.
     """
 
     def __init__(self, shape: tuple[int, ...], xs) -> None:
-        self.xs = np.asarray(xs, dtype=float)
+        self.xs = xs = np.asarray(xs, dtype=float)
         self.shape = shape = tuple(shape)
         # the batch axes B of the parameters, right-aligned against the
         # input axes; a single vector puts only new axes behind its slot axis
-        extra = max(0, self.xs.ndim - len(shape) + 1)
+        extra = max(0, xs.ndim - len(shape) + 1)
         tail = (1,) * extra + shape[1:]
-        # (theta2, theta1) with the new axes, and the diagonal's
-        # (b_first, b_second) axes in front of the broadcast axes
-        self.theta_index = (slice(1, None, -1),) + (None,) * extra
-        self.g_shape = (2, 2) + tail
-        self.half = np.empty(np.broadcast_shapes((2,) + tail, self.xs.shape))
-        self.cos, self.sin = np.empty_like(self.half), np.empty_like(self.half)
+        # the kernel reads the parameters, copied into vec, as (theta2, theta1)
+        # with the new axes, and as g with its (b_first, b_second) axes in front
+        vec = np.empty(shape)
+        theta, g = vec[(slice(1, None, -1),) + (None,) * extra], vec[2:].reshape((2, 2) + tail)
+        half = np.empty(np.broadcast_shapes(theta.shape, xs.shape))
+        c, s = np.empty_like(half), np.empty_like(half)
         # p[b, slot]: the amplitude of basis bit b in tensor slot slot
-        self.p = np.empty((2,) + self.half.shape)
-        self.p0, self.p1 = self.p[0], self.p[1]
-        self.first, self.second = self.p[:, 0, None], self.p[:, 1]
-        self.terms = np.empty(np.broadcast_shapes(self.g_shape, self.first.shape))
+        p = np.empty((2,) + half.shape)
+        p0, p1, first, second = p[0], p[1], p[:, 0, None], p[:, 1]
+        terms = np.empty(np.broadcast_shapes(g.shape, first.shape))
         # with the ellipsis, a term row is a view even when it is 0-d
-        self.t00, self.t01 = self.terms[0, 0, ...], self.terms[0, 1, ...]
-        self.t10, self.t11 = self.terms[1, 0, ...], self.terms[1, 1, ...]
-        self.out = np.empty(self.terms.shape[2:])
+        t00, t01, t10, t11 = terms[0, 0, ...], terms[0, 1, ...], terms[1, 0, ...], terms[1, 1, ...]
+        self.out = out = np.empty(terms.shape[2:])
+        # closure cells: a call then skips the global and attribute lookups
+        subtract, multiply, add = np.subtract, np.multiply, np.add
+        cos, sin, square = np.cos, np.sin, np.square
 
+        def amplitudes(v):
+            # axis 0 of half is the tensor slot, and (x - theta) * 0.5 is
+            # 0.5 * (x - theta) exactly; c - s and c + s go into one buffer,
+            # the slot's basis bit on axis 0, and are scaled there (a
+            # ufunc's third argument is its output)
+            vec[...] = v
+            subtract(xs, theta, half)
+            multiply(half, _HALF, half)
+            cos(half, c)
+            sin(half, s)
+            subtract(c, s, p0)
+            add(c, s, p1)
+            multiply(p, _SCALE, p)
+            return p
 
-def _amplitudes(v: np.ndarray, ws: Workspace) -> np.ndarray:
-    """The per-qubit amplitudes of raw parameters ``v`` at the inputs of ``ws``, unsquared.
+        def expectation(v):
+            square(amplitudes(v), p)
+            # term (b_first, b_second) is (g_b * p_first) * p_second, as one
+            # qubit at a time would compute it; the four are summed in index order
+            multiply(g, first, terms)
+            multiply(terms, second, terms)
+            add(t00, t01, out)
+            add(out, t10, out)
+            add(out, t11, out)
+            return out
 
-    ``v`` has the shape ``ws`` was built for. Writes and returns
-    ``ws.p``, with ``p[b, slot]`` the amplitude of basis bit ``b`` in
-    tensor slot ``slot`` (the first carries theta2), over the broadcast
-    axes of ``B`` and the inputs. Each pair is ((c - s), (c + s)) / sqrt(2)
-    at the half-angle (x - theta) / 2.
-    """
-    # axis 0 of half is the tensor slot, and (x - theta) * 0.5 is
-    # 0.5 * (x - theta) exactly; the amplitudes c - s and c + s go into one
-    # buffer, the slot's basis bit on axis 0, and are scaled there (a
-    # ufunc's third argument is its output)
-    half, c, s, p = ws.half, ws.cos, ws.sin, ws.p
-    np.subtract(ws.xs, v[ws.theta_index], half)
-    np.multiply(half, _HALF, half)
-    np.cos(half, c)
-    np.sin(half, s)
-    np.subtract(c, s, ws.p0)
-    np.add(c, s, ws.p1)
-    np.multiply(p, _SCALE, p)
-    return p
+        self.amplitudes, self.expectation = amplitudes, expectation
 
 
 def prepare_state(params: CircuitParams | np.ndarray, x):
@@ -219,15 +223,15 @@ def prepare_state(params: CircuitParams | np.ndarray, x):
 
     (H (x) H)|00> is the product of two |+> states, and each rotation
     acts on its own qubit, so the state is the Kronecker product of the
-    two single-qubit amplitude pairs of :func:`_amplitudes`: the four
-    products in index order, which is much cheaper than ``np.kron``.
+    two single-qubit amplitude pairs of :attr:`Workspace.amplitudes`: the
+    four products in index order, which is much cheaper than ``np.kron``.
 
     One point gives a :class:`StateVector`. A batch of rows ``(T, 6)``
     gives the real ``(T, 4)`` amplitude rows, unvalidated, so a caller
     can measure how far each is from unit norm.
     """
     v = _param_rows(params).T
-    p = _amplitudes(v, Workspace(v.shape, x))
+    p = Workspace(v.shape, x).amplitudes(v)
     # amplitude index 2*i + j: basis bit i of the first slot, j of the second
     amp = np.stack([p[i, 0] * p[j, 1] for i in (0, 1) for j in (0, 1)], axis=-1)
     return StateVector(amp) if amp.ndim == 1 else amp
@@ -260,29 +264,25 @@ def circuit_expectation_grid(
     Without ``workspace`` the call builds its own, so the output is a
     fresh array (a scalar for one point). With one, ``xs`` must be the
     workspace's own ``xs`` and the parameters of its shape, and the output
-    is the workspace's buffer, overwritten by its next evaluation.
+    is the workspace's buffer ``out``, overwritten by its next evaluation.
+    An array of that shape goes straight to the workspace's bound kernel,
+    which copies it into its float buffer as ``np.asarray`` would convert
+    it; any other input is converted and checked first.
 
-    The amplitudes of :func:`_amplitudes`, squared into probabilities,
-    then the expectation of the diagonal observable, vectorized over the
-    inputs and the batch. This is what the objective evaluates, so it
-    stays on the amplitude route rather than any closed-form shortcut.
+    The workspace's amplitudes, squared into probabilities, then the
+    expectation of the diagonal observable, vectorized over the inputs and
+    the batch. This is what the objective evaluates, so it stays on the
+    amplitude route rather than any closed-form shortcut.
     """
-    v = params.as_vector() if isinstance(params, CircuitParams) else np.asarray(params, dtype=float)
     ws = workspace
+    if ws is not None and type(params) is np.ndarray and params.shape == ws.shape and xs is ws.xs:
+        return ws.expectation(params)
+    v = params.as_vector() if isinstance(params, CircuitParams) else np.asarray(params, dtype=float)
     if ws is None:
         if v.shape != (6,) and (v.ndim < 2 or v.shape[0] != 6):
             raise ValueError(f"parameters must have shape (6,) or (6, *B), got shape {v.shape}")
-        ws = Workspace(v.shape, xs)
-    elif v.shape != ws.shape or xs is not ws.xs:
+        out = Workspace(v.shape, xs).expectation(v)
+        return out if out.ndim else out[()]
+    if v.shape != ws.shape or xs is not ws.xs:
         raise ValueError(f"the workspace serves parameters of shape {ws.shape} at its own inputs xs only")
-    p = _amplitudes(v, ws)
-    np.square(p, p)
-    # term (b_first, b_second) is (g_b * p_first) * p_second, as one qubit
-    # at a time would compute it; the four are summed in index order
-    terms, out = ws.terms, ws.out
-    np.multiply(v[2:].reshape(ws.g_shape), ws.first, terms)
-    np.multiply(terms, ws.second, terms)
-    np.add(ws.t00, ws.t01, out)
-    np.add(out, ws.t10, out)
-    np.add(out, ws.t11, out)
-    return out if out.ndim else out[()]
+    return ws.expectation(v)

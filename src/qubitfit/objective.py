@@ -35,8 +35,10 @@ _BUILTIN: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 def polynomial_target(coeffs: Sequence[float]) -> TargetFunction:
     """Custom target sum_k coeffs[k] * x^k (ascending powers)."""
     c = np.asarray(list(coeffs), dtype=float)
-    if c.size == 0 or not np.all(np.isfinite(c)):
-        raise ValueError("polynomial target needs at least one finite coefficient")
+    if c.size == 0:
+        raise ValueError("polynomial target needs at least one coefficient")
+    if not np.isfinite(c).all():
+        raise ValueError("polynomial target coefficients must all be finite")
     return TargetFunction("custom", lambda x: np.polynomial.polynomial.polyval(x, c))
 
 
@@ -113,9 +115,9 @@ def performance_index(
     else:
         values, r = prepared.values, circuit_expectation_grid(params, grid.points, prepared.workspace)
     # the kernel's output is its own array (fresh, or the workspace's), so
-    # the residual can overwrite it
-    np.subtract(values, r, out=r)
-    return float(np.dot(r, r))
+    # the residual can overwrite it; r.dot is np.dot without its dispatch
+    np.subtract(values, r, r)
+    return float(r.dot(r))
 
 
 def max_pointwise_error(params: CircuitParams, target: TargetFunction, grid: SampleGrid) -> float:

@@ -52,13 +52,12 @@ def workspace_rows() -> np.ndarray:
 
 
 def scale_amplitudes(monkeypatch, factor):
-    """Scale the simulator's per-qubit amplitudes: its states and its output both move."""
-    real = circuit_mod._amplitudes
+    """Scale the simulator's per-qubit amplitudes: its states and its output both move.
 
-    def scaled(v, ws):
-        # in place: the kernel reads the amplitudes through the workspace's views
-        p = real(v, ws)
-        p *= factor
-        return p
-
-    monkeypatch.setattr(circuit_mod, "_amplitudes", scaled)
+    Every workspace's amplitude step ends by scaling its amplitudes by the
+    module constant ``_SCALE``, which it reads at call time, so scaling the
+    constant scales every amplitude pair; the patch holds no workspace.
+    """
+    scaled = np.array(circuit_mod._SCALE * factor)
+    scaled.setflags(write=False)
+    monkeypatch.setattr(circuit_mod, "_SCALE", scaled)

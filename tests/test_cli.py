@@ -298,6 +298,25 @@ def test_an_overflowing_grid_span_is_a_one_line_usage_error(argv, tmp_path, monk
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["fit", "--target", "quadratic", "--x0", "1e200"],
+     "error: target 'quadratic' overflows the performance index on the grid with x0=1e+200\n"),
+    (["fit", "--target", "custom", "--poly", "1e300,0,0,1e300"],
+     "error: target 'custom' overflows the performance index on the grid with x0=1.5\n"),
+    (["fit", "--target", "custom", "--poly", "1,nan"],
+     "error: polynomial target coefficients must all be finite\n"),
+])
+def test_a_target_that_overflows_is_named_on_one_line(argv, err, tmp_path, monkeypatch, capsys):
+    # the target's own values overflow the index, or are not finite, on a
+    # valid grid: the message names the target and the grid, not a start
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--iterations", "5", "--restarts", "1"]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_cli_rejects_a_non_integer_seed_on_one_line(monkeypatch, capsys):
     # a seed option that let a float through must not truncate it
     monkeypatch.setitem(cli_mod.OPTIONS, "seed", (float, 42.0, "seed"))

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,12 +9,14 @@ from hypothesis import strategies as st
 
 from qubitfit import (
     CircuitParams,
+    circuit_expectation_grid,
     get_target,
     make_grid,
     max_pointwise_error,
     performance_index,
     polynomial_target,
 )
+from qubitfit.circuit import Workspace
 from qubitfit.objective import PreparedIndex
 
 from conftest import random_params, workspace_rows
@@ -41,10 +45,12 @@ def test_get_target_rejects_unknown_id():
 def test_custom_target_requires_coefficients():
     with pytest.raises(ValueError):
         get_target("custom")
-    with pytest.raises(ValueError):
+    # an empty list and a non-finite coefficient each get their own message
+    with pytest.raises(ValueError, match=r"^polynomial target needs at least one coefficient$"):
         polynomial_target([])
-    with pytest.raises(ValueError):
-        polynomial_target([1.0, math.nan])
+    for coeffs in ([1.0, math.nan], [math.inf], [0.0, 2.0, -math.inf]):
+        with pytest.raises(ValueError, match=r"^polynomial target coefficients must all be finite$"):
+            polynomial_target(coeffs)
 
 
 def test_polynomial_target_matches_quadratic():
@@ -174,6 +180,74 @@ def test_prepared_index_carries_nothing_from_one_row_to_the_next():
             assert got == want or (math.isnan(got) and math.isnan(want)), (v, got, want)
     assert values.tobytes() == before
     assert grid.points.tobytes() == points
+
+
+def test_every_parameter_form_on_a_prepared_index_has_the_bytes_of_a_fresh_call():
+    # a float64 vector of the workspace's shape goes straight to its bound
+    # kernel; every other form is converted and checked first, and all of
+    # them give a fresh call's bytes, output and index alike
+    grid = make_grid(30, 1.5)
+    target = get_target("gaussian")
+    prepared = PreparedIndex.of(target.fn(grid.points), grid)
+    ws = prepared.workspace
+    v = np.array([0.4, -0.7, 0.5, -1.2, 1.8, -0.3])
+    read_only = v.copy()
+    read_only.setflags(write=False)
+    forms = [
+        v.astype(np.float32),
+        np.array([1, -2, 1, 0, -1, 2], dtype=np.int64),
+        v.tolist(),
+        CircuitParams.from_vector(v),
+        read_only,
+        v,
+    ]
+    for params in forms:
+        fresh = circuit_expectation_grid(params, grid.points).tobytes()
+        assert circuit_expectation_grid(params, ws.xs, ws).tobytes() == fresh
+        want = np.float64(performance_index(params, target, grid)).tobytes()
+        assert np.float64(performance_index(params, target, grid, prepared)).tobytes() == want
+    assert read_only.tobytes() == v.tobytes()
+
+
+def test_a_prepared_index_still_rejects_wrong_shapes_and_foreign_inputs():
+    grid = make_grid(30, 1.5)
+    target = get_target("sigmoid")
+    prepared = PreparedIndex.of(target.fn(grid.points), grid)
+    ws = prepared.workspace
+    for bad in (np.ones(5), np.ones(7), np.ones((6, 2))):
+        for extra in ((), (prepared,)):
+            with pytest.raises(ValueError):
+                performance_index(bad, target, grid, *extra)
+        with pytest.raises(ValueError):
+            circuit_expectation_grid(bad, ws.xs, ws)
+    v = np.ones(6)
+    with pytest.raises(ValueError):
+        circuit_expectation_grid(v, grid.points.copy(), ws)
+    with pytest.raises(ValueError):
+        performance_index(v, target, make_grid(30, 1.5), prepared)
+
+
+def test_a_dropped_workspace_or_prepared_index_is_freed_at_once():
+    # the bound kernel holds the buffers, never its workspace: a cycle would
+    # keep every dropped workspace alive until the cyclic collector ran
+    grid = make_grid(30, 1.5)
+    target = get_target("quadratic")
+    v = np.array([0.4, -0.7, 0.5, -1.2, 1.8, -0.3])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ws = Workspace((6,), grid.points)
+        batch = Workspace((6, 2), grid.points[:, None])
+        prepared = PreparedIndex.of(target.fn(grid.points), grid)
+        circuit_expectation_grid(v, ws.xs, ws)
+        batch.amplitudes(np.stack([v, -v], axis=1))
+        performance_index(v, target, grid, prepared)
+        refs = [weakref.ref(ws), weakref.ref(batch), weakref.ref(prepared), weakref.ref(prepared.workspace)]
+        del ws, batch, prepared
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @given(st.integers(min_value=2, max_value=60), st.floats(min_value=0.1, max_value=3.0))

@@ -4,7 +4,8 @@ Derivation sketch, using the basis convention of :mod:`qubitfit.circuit`
 (first tensor slot rotated by x - theta2, second by x - theta1):
 
 Each qubit factor after R(phi) H |0> has amplitudes ((c - s), (c + s)) / sqrt(2)
-with c = cos(phi/2), s = sin(phi/2), giving outcome probabilities
+with c = cos(phi/2), s = sin(phi/2), that is cos and sin of phi/2 + pi/4
+(the simulator's composed rotation), giving outcome probabilities
 
     p0(phi) = (1 - sin phi) / 2,    p1(phi) = (1 + sin phi) / 2.
 

@@ -17,13 +17,17 @@ shared with the closed-form expressions in :mod:`qubitfit.analytic` and
 must not be changed in one place only.
 
 The circuit is a product of two single-qubit circuits, and all its gates
-are real. A :class:`Workspace`, built for a parameter layout and an input
-array, binds the one kernel body over its own buffers. Its amplitude step
-computes the real amplitude pairs of both qubits in one stacked pass, over
-scalar or array inputs and trailing batch axes of the parameters, and
-feeds both the state (:func:`prepare_state`) and the output (the kernel
+are real. The Hadamard is itself a rotation, H|0> = R(pi/2)|0>, and
+rotations compose, R(a) R(b) = R(a + b), so each qubit's state is
+R(x - theta + pi/2)|0> = (cos phi, sin phi) with phi = (x - theta + pi/2) / 2:
+one cos/sin pair per qubit. A :class:`Workspace`, built for a parameter
+layout and an input array, binds the one kernel body over its own
+buffers. Its amplitude step computes the real amplitude pairs of both
+qubits in one stacked pass, over scalar or array inputs and trailing
+batch axes of the parameters, and feeds both the state
+(:func:`prepare_state`) and the output (the kernel
 :func:`circuit_expectation_grid`, which :func:`circuit_expectation`
-calls). Its thirteen ufuncs each write through their output argument. A
+calls). Its ten ufuncs each write through their output argument. A
 plain call builds its own workspace, so its output is a fresh array, which
 the caller may overwrite. The optimizer keeps one workspace per restart
 and passes it in: a raw ``(6,)`` vector then goes straight to the bound
@@ -51,11 +55,10 @@ import numpy as np
 
 NORM_TOL = 1e-12
 
-# the amplitude step's scale factors as read-only 0-d arrays: a ufunc
+# the amplitude step's half-angle factor as a read-only 0-d array: a ufunc
 # converts a Python float operand anew on every call
-_HALF, _SCALE = np.array(0.5), np.array(1.0 / math.sqrt(2.0))
+_HALF = np.array(0.5)
 _HALF.setflags(write=False)
-_SCALE.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +161,7 @@ class Workspace:
 
     - ``amplitudes(v)`` returns ``p``, with ``p[b, slot]`` the unsquared
       amplitude of basis bit ``b`` in tensor slot ``slot`` (the first
-      carries theta2): ((c - s), (c + s)) / sqrt(2) at (x - theta) / 2;
+      carries theta2): cos and sin at ((x + pi/2) - theta) / 2;
     - ``expectation(v)`` returns ``out``, the output over ``B`` and ``xs``.
 
     The closures hold the buffers, never the workspace, so a dropped
@@ -177,7 +180,7 @@ class Workspace:
         vec = np.empty(shape)
         theta, g = vec[(slice(1, None, -1),) + (None,) * extra], vec[2:].reshape((2, 2) + tail)
         half = np.empty(np.broadcast_shapes(theta.shape, xs.shape))
-        c, s = np.empty_like(half), np.empty_like(half)
+        xq = xs + math.pi / 2  # H|0> = R(pi/2)|0>, composed into each rotation
         # p[b, slot]: the amplitude of basis bit b in tensor slot slot
         p = np.empty((2,) + half.shape)
         p0, p1, first, second = p[0], p[1], p[:, 0, None], p[:, 1]
@@ -190,18 +193,13 @@ class Workspace:
         cos, sin, square = np.cos, np.sin, np.square
 
         def amplitudes(v):
-            # axis 0 of half is the tensor slot, and (x - theta) * 0.5 is
-            # 0.5 * (x - theta) exactly; c - s and c + s go into one buffer,
-            # the slot's basis bit on axis 0, and are scaled there (a
-            # ufunc's third argument is its output)
+            # axis 0 of half is the tensor slot; cos and sin go into one buffer,
+            # the slot's basis bit on axis 0 (a ufunc's last argument is its output)
             vec[...] = v
-            subtract(xs, theta, half)
+            subtract(xq, theta, half)
             multiply(half, _HALF, half)
-            cos(half, c)
-            sin(half, s)
-            subtract(c, s, p0)
-            add(c, s, p1)
-            multiply(p, _SCALE, p)
+            cos(half, p0)
+            sin(half, p1)
             return p
 
         def expectation(v):

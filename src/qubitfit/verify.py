@@ -28,10 +28,9 @@ import numpy as np
 
 from .analytic import closed_form_expectation, cubic_remainder
 from .chemotaxis import N_DIM, map_uniform
-from .circuit import circuit_expectation, prepare_state
+from .circuit import NORM_TOL, circuit_expectation, prepare_state
 
 EQUIV_TOL = 1e-12
-NORM_TOL = 1e-12
 BOUND_SLACK = 1e-12
 RATIO_LO, RATIO_HI = 4.0, 64.0
 # Below this, the quartic Taylor coefficient is effectively zero for the

@@ -51,13 +51,29 @@ def workspace_rows() -> np.ndarray:
     return np.array(rows)
 
 
+class _ScaledTrig:
+    """numpy, but with ``cos`` and ``sin`` scaling their output by ``factor``."""
+
+    def __init__(self, factor):
+        self._factor = factor
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, x, out):
+        return np.multiply(np.cos(x, out), self._factor, out)
+
+    def sin(self, x, out):
+        return np.multiply(np.sin(x, out), self._factor, out)
+
+
 def scale_amplitudes(monkeypatch, factor):
     """Scale the simulator's per-qubit amplitudes: its states and its output both move.
 
-    Every workspace's amplitude step ends by scaling its amplitudes by the
-    module constant ``_SCALE``, which it reads at call time, so scaling the
-    constant scales every amplitude pair; the patch holds no workspace.
+    Every amplitude is the output of a ``cos`` or ``sin`` that a workspace
+    binds from the module's ``np`` when it is built, so a module ``np``
+    whose ``cos`` and ``sin`` scale their output scales every amplitude
+    pair of the workspaces built while the patch holds; the patch holds
+    no workspace.
     """
-    scaled = np.array(circuit_mod._SCALE * factor)
-    scaled.setflags(write=False)
-    monkeypatch.setattr(circuit_mod, "_SCALE", scaled)
+    monkeypatch.setattr(circuit_mod, "np", _ScaledTrig(factor))

@@ -94,37 +94,44 @@ def amplitude_quadratic_coefficients(theta1, theta2) -> np.ndarray:
     return out
 
 
-def _qubit_amplitudes(phi):
-    # ((c - s), (c + s)) / sqrt(2) at the half-angle phi / 2
+def hadamard_rotation_amplitudes(phi):
+    """R(phi) H |0> as two gates: ((c - s), (c + s)) / sqrt(2) at the half-angle phi / 2."""
     half = 0.5 * phi
     c, s = np.cos(half), np.sin(half)
     return (c - s) * SQRT1_2, (c + s) * SQRT1_2
 
 
+def _composed_amplitudes(xs, theta):
+    # R(x - theta) H |0> = R((x + pi/2) - theta) |0>: (cos, sin) at the
+    # half-angle, the quarter turn added to x first, then theta subtracted
+    half = ((xs + math.pi / 2) - theta) * 0.5
+    return np.cos(half), np.sin(half)
+
+
 def per_qubit_state(theta1, theta2, xs):
     """The four register amplitudes over ``xs``, shape ``xs.shape + (4,)``.
 
-    Each qubit's amplitude pair on its own, then the products
-    a_first * a_second in index order: the same floating-point operations
-    as the simulator's state, so the two agree bit for bit.
+    Each qubit's composed-rotation amplitude pair on its own, then the
+    products a_first * a_second in index order: the same floating-point
+    operations as the simulator's state, so the two agree bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
-    first = _qubit_amplitudes(xs - theta2)
-    second = _qubit_amplitudes(xs - theta1)
+    first = _composed_amplitudes(xs, theta2)
+    second = _composed_amplitudes(xs, theta1)
     return np.stack([first[b >> 1] * second[b & 1] for b in range(4)], axis=-1)
 
 
 def per_qubit_grid(theta1, theta2, g, xs):
     """Circuit output over ``xs`` with each qubit computed on its own.
 
-    Two separate amplitude pairs ((c - s), (c + s)) / sqrt(2), four
-    squares, and the four terms (g_b * p_first) * p_second summed in
+    Two separate amplitude pairs (cos, sin) at ((x + pi/2) - theta) / 2,
+    four squares, and the four terms (g_b * p_first) * p_second summed in
     index order: the same floating-point operations as the simulator
     kernel, one qubit at a time, so the two agree bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
-    a_second0, a_second1 = _qubit_amplitudes(xs - theta1)
-    a_first0, a_first1 = _qubit_amplitudes(xs - theta2)
+    a_second0, a_second1 = _composed_amplitudes(xs, theta1)
+    a_first0, a_first1 = _composed_amplitudes(xs, theta2)
     p_second0, p_second1 = np.square(a_second0), np.square(a_second1)
     p_first0, p_first1 = np.square(a_first0), np.square(a_first1)
     return (

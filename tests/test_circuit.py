@@ -16,7 +16,13 @@ from qubitfit import (
 from qubitfit.circuit import Workspace
 
 from conftest import random_params, workspace_rows
-from oracles import matrix_expectation, per_qubit_grid, per_qubit_state, product_expectation
+from oracles import (
+    hadamard_rotation_amplitudes,
+    matrix_expectation,
+    per_qubit_grid,
+    per_qubit_state,
+    product_expectation,
+)
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
 inputs = st.floats(min_value=-4.0, max_value=4.0)
@@ -43,6 +49,27 @@ def test_state_equals_per_qubit_amplitudes():
             assert isinstance(state, StateVector)
             assert state.amp.dtype == np.float64
             assert state.amp.tobytes() == want.tobytes()
+
+
+def test_composed_rotation_equals_hadamard_then_rotation():
+    # the amplitude step composes H = R(pi/2) into the rotation; its pairs
+    # must equal the two-gate form ((c - s), (c + s)) / sqrt(2) to within
+    # a few ulps of the angle, however far the offset takes it
+    rng = np.random.default_rng(16)
+    n = 20000
+    xs = rng.uniform(-4.0, 4.0, n)
+    # offsets x - theta from about 1e-9 to 1e3 in size, both signs, per slot
+    offsets = rng.uniform(-1e3, 1e3, (2, n)) * 10.0 ** rng.uniform(-9.0, 0.0, (2, n))
+    rows = np.zeros((6, n))
+    rows[:2] = xs - offsets
+    p = Workspace(rows.shape, xs).amplitudes(rows)
+    eps = np.finfo(float).eps
+    for slot, theta in ((0, rows[1]), (1, rows[0])):
+        phi = xs - theta
+        tol = 8.0 * eps * (1.0 + np.abs(phi))
+        for b, want in enumerate(hadamard_rotation_amplitudes(phi)):
+            assert (np.abs(p[b, slot] - want) <= tol).all()
+    assert np.abs(offsets).max() > 900.0
 
 
 def test_state_batch_equals_per_qubit_amplitudes_on_non_finite_and_huge_rows():

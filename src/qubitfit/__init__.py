@@ -10,11 +10,9 @@ chemotaxis optimizer (:mod:`.chemotaxis`), and the file/CLI surface
 
 from .analytic import (
     CubicPoly,
-    TrigForm,
     closed_form_expectation,
     cubic_coefficients,
     cubic_remainder,
-    trig_form,
 )
 from .chemotaxis import FitResult, OptimizerConfig, optimize
 from .circuit import (
@@ -49,9 +47,7 @@ __all__ = [
     "prepare_state",
     "circuit_expectation",
     "circuit_expectation_grid",
-    "TrigForm",
     "CubicPoly",
-    "trig_form",
     "closed_form_expectation",
     "cubic_coefficients",
     "cubic_remainder",

@@ -31,8 +31,8 @@ and neither may be rewritten in terms of the other.
 Like the simulator, :func:`closed_form_expectation`,
 :func:`cubic_coefficients` and :func:`cubic_remainder` take a
 ``CircuitParams``, one raw row ``[theta1, theta2, g0..g3]`` of shape
-``(6,)``, or a batch of rows ``(T, 6)``, paired with the inputs by
-broadcasting. One point keeps the scalar types (a ``float``, a
+``(6,)``, or a batch of rows ``(*B, 6)``, whose batch axes broadcast
+against the inputs. One point keeps the scalar types (a ``float``, a
 :class:`CubicPoly` of floats); a batch gives arrays.
 """
 
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitParams, _param_rows
+from .circuit import CircuitParams, _columns, _param_rows
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,6 @@ class CubicPoly:
         return np.array([self.a0, self.a1, self.a2, self.a3])
 
 
-@dataclass(frozen=True)
-class TrigForm:
-    """Coefficients of c0 + c1*sin(x-t1) + c2*sin(x-t2) + c3*sin(x-t1)*sin(x-t2)."""
-
-    c0: float
-    c1: float
-    c2: float
-    c3: float
-
-
 def closed_form_expectation(params: CircuitParams | np.ndarray, x):
     """Circuit output as a product of single-qubit probabilities.
 
@@ -81,7 +71,7 @@ def closed_form_expectation(params: CircuitParams | np.ndarray, x):
     point, an array otherwise.
     """
     # one entry per name for a single row, one column per name for a batch
-    theta1, theta2, g0, g1, g2, g3 = _param_rows(params).T
+    theta1, theta2, g0, g1, g2, g3 = _columns(_param_rows(params))
     x = np.asarray(x, dtype=float)
     s_first = np.sin(x - theta2)
     s_second = np.sin(x - theta1)
@@ -96,18 +86,9 @@ def closed_form_expectation(params: CircuitParams | np.ndarray, x):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def trig_form(g: np.ndarray) -> TrigForm:
-    """Regroup the diagonal entries into the two-frequency trig coefficients."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (4,):
-        raise ValueError(f"observable diagonal must have 4 entries, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("observable diagonal entries must be finite")
-    return TrigForm(*(float(c) for c in _trig_coefficients(*g)))
-
-
 def _trig_coefficients(g0, g1, g2, g3) -> tuple:
-    # c0..c3 of TrigForm; the entries are floats or arrays of one per row
+    # c0..c3 of c0 + c1*sin(x-t1) + c2*sin(x-t2) + c3*sin(x-t1)*sin(x-t2);
+    # the entries are floats or arrays of one per row
     return (
         (g0 + g1 + g2 + g3) / 4.0,
         (-g0 + g1 - g2 + g3) / 4.0,
@@ -139,10 +120,10 @@ def cubic_coefficients(params: CircuitParams | np.ndarray) -> CubicPoly | np.nda
     f^(k)(0) / k! for k <= 3, since discarded terms have degree >= 4.
 
     One point gives a :class:`CubicPoly` of floats; a batch of rows
-    ``(T, 6)`` gives the ``(T, 4)`` array of rows ``[a0, a1, a2, a3]``.
+    ``(*B, 6)`` gives the ``(*B, 4)`` array of rows ``[a0, a1, a2, a3]``.
     """
     v = _param_rows(params)
-    theta1, theta2, *g = v.T
+    theta1, theta2, *g = _columns(v)
     c0, c1, c2, c3 = _trig_coefficients(*g)
     q1 = _sin_shift_series(theta1)
     q2 = _sin_shift_series(theta2)
@@ -161,6 +142,6 @@ def cubic_remainder(params: CircuitParams | np.ndarray, x):
     as a diagnostic for |x| <= 1; behaves as O(x^4) near 0.
     """
     a = cubic_coefficients(params)
-    poly = a if isinstance(a, CubicPoly) else CubicPoly(*a.T)
+    poly = a if isinstance(a, CubicPoly) else CubicPoly(*_columns(a))
     return abs(closed_form_expectation(params, x) - poly(x))
 

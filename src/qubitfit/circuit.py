@@ -20,26 +20,26 @@ The circuit is a product of two single-qubit circuits, and all its gates
 are real. The Hadamard is itself a rotation, H|0> = R(pi/2)|0>, and
 rotations compose, R(a) R(b) = R(a + b), so each qubit's state is
 R(x - theta + pi/2)|0> = (cos phi, sin phi) with phi = (x - theta + pi/2) / 2:
-one cos/sin pair per qubit. A :class:`Workspace`, built for a parameter
-layout and an input array, binds the one kernel body over its own
-buffers. Its amplitude step computes the real amplitude pairs of both
-qubits in one stacked pass, over scalar or array inputs and trailing
-batch axes of the parameters, and feeds both the state
-(:func:`prepare_state`) and the output (the kernel
-:func:`circuit_expectation_grid`, which :func:`circuit_expectation`
-calls). Its ten ufuncs each write through their output argument. A
-plain call builds its own workspace, so its output is a fresh array, which
-the caller may overwrite. The optimizer keeps one workspace per restart
-and passes it in: a raw ``(6,)`` vector then goes straight to the bound
-kernel, which copies it in, runs its ufuncs and allocates nothing.
+one cos/sin pair per qubit.
 
 Parameters come as a ``CircuitParams`` or as raw rows
 ``[theta1, theta2, g0..g3]``, so the optimizer and the self-checks build
-no ``CircuitParams`` per point; only ``CircuitParams`` is validated.
-:func:`circuit_expectation` and :func:`prepare_state` take one row of
-shape ``(6,)`` or a batch of shape ``(T, 6)``, paired with the inputs by
-broadcasting. One point keeps the scalar types (a ``float``, a
-:class:`StateVector`); a batch gives arrays.
+no ``CircuitParams`` per point; only ``CircuitParams`` is validated. Every
+function here takes one row of shape ``(6,)`` or a batch of rows
+``(*B, 6)``, whose batch axes ``B`` broadcast against the inputs.
+:func:`_param_rows` is the one shape check. One point keeps the scalar
+types (a ``float``, a :class:`StateVector`); a batch gives arrays.
+
+A :class:`Workspace`, built for a rows shape and an input array, binds the
+one kernel body over its own buffers. Its amplitude step computes the real
+amplitude pairs of both qubits in one stacked pass and feeds both the
+state (:func:`prepare_state`) and the output (the kernel
+:func:`circuit_expectation_grid`, of which :func:`circuit_expectation` is
+the float-typed form). Its ten ufuncs each write through their output
+argument. A plain call builds its own workspace, so its output is a fresh
+array, which the caller may overwrite. The optimizer keeps one workspace
+per restart and passes it in: a ``(6,)`` array then goes straight to the
+bound kernel, which copies it in, runs its ufuncs and allocates nothing.
 
 All functions here are pure and all values other than a
 :class:`Workspace` immutable after construction, so concurrent use needs
@@ -137,7 +137,7 @@ class StateVector:
 
 
 def _param_rows(params: CircuitParams | np.ndarray) -> np.ndarray:
-    """The raw parameter rows of ``params``: shape ``(6,)`` for one point, ``(T, 6)`` for a batch.
+    """The raw parameter rows of ``params``: shape ``(6,)`` for one point, ``(*B, 6)`` for a batch.
 
     Raw rows of another shape raise ``ValueError``; their entries are not
     checked, so a non-finite entry gives a non-finite output.
@@ -145,17 +145,22 @@ def _param_rows(params: CircuitParams | np.ndarray) -> np.ndarray:
     if isinstance(params, CircuitParams):
         return params.as_vector()
     v = np.asarray(params, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[-1] != 6:
-        raise ValueError(f"parameter rows must have shape (6,) or (T, 6), got shape {v.shape}")
+    if v.ndim == 0 or v.shape[-1] != 6:
+        raise ValueError(f"parameter rows must have shape (6,) or (*B, 6), got shape {v.shape}")
     return v
 
 
-class Workspace:
-    """The kernel bound to its buffers, for one parameter layout and one input array.
+def _columns(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` with its last axis in front: rows ``(*B, k)`` as columns ``(k, *B)``."""
+    return a.transpose((a.ndim - 1, *range(a.ndim - 1)))
 
-    Built once for raw parameters of shape ``(6,)`` or ``(6, *B)`` and the
-    inputs ``xs`` (kept, as a float array, in ``xs``), it binds the kernel
-    body over its buffers as two closures. Each takes an array ``v`` of the
+
+class Workspace:
+    """The kernel bound to its buffers, for one rows shape and one input array.
+
+    Built once for raw rows of shape ``(6,)`` or ``(*B, 6)`` and the inputs
+    ``xs`` (kept, as a float array, in ``xs``), it binds the kernel body
+    over its buffers as two closures. Each takes an array ``v`` of the
     workspace's shape, unchecked, copies it into a float buffer and
     overwrites every buffer it reads, so no value of a call reaches the next:
 
@@ -171,13 +176,16 @@ class Workspace:
     def __init__(self, shape: tuple[int, ...], xs) -> None:
         self.xs = xs = np.asarray(xs, dtype=float)
         self.shape = shape = tuple(shape)
-        # the batch axes B of the parameters, right-aligned against the
-        # input axes; a single vector puts only new axes behind its slot axis
+        # the batch axes B of the rows, right-aligned against the input axes;
+        # a single row puts only new axes behind its slot axis
         extra = max(0, xs.ndim - len(shape) + 1)
-        tail = (1,) * extra + shape[1:]
-        # the kernel reads the parameters, copied into vec, as (theta2, theta1)
-        # with the new axes, and as g with its (b_first, b_second) axes in front
-        vec = np.empty(shape)
+        tail = (1,) * extra + shape[:-1]
+        # the rows are copied into vec, one parameter per slice of axis 0,
+        # through its transposed view rows; the kernel reads vec as
+        # (theta2, theta1) with the new axes, and as g with its
+        # (b_first, b_second) axes in front
+        vec = np.empty(shape[-1:] + shape[:-1])
+        rows = vec.transpose((*range(1, vec.ndim), 0))
         theta, g = vec[(slice(1, None, -1),) + (None,) * extra], vec[2:].reshape((2, 2) + tail)
         half = np.empty(np.broadcast_shapes(theta.shape, xs.shape))
         xq = xs + math.pi / 2  # H|0> = R(pi/2)|0>, composed into each rotation
@@ -195,7 +203,7 @@ class Workspace:
         def amplitudes(v):
             # axis 0 of half is the tensor slot; cos and sin go into one buffer,
             # the slot's basis bit on axis 0 (a ufunc's last argument is its output)
-            vec[...] = v
+            rows[...] = v
             subtract(xq, theta, half)
             multiply(half, _HALF, half)
             cos(half, p0)
@@ -224,11 +232,11 @@ def prepare_state(params: CircuitParams | np.ndarray, x):
     two single-qubit amplitude pairs of :attr:`Workspace.amplitudes`: the
     four products in index order, which is much cheaper than ``np.kron``.
 
-    One point gives a :class:`StateVector`. A batch of rows ``(T, 6)``
-    gives the real ``(T, 4)`` amplitude rows, unvalidated, so a caller
+    One point gives a :class:`StateVector`. A batch of rows ``(*B, 6)``
+    gives the real amplitude rows ``(..., 4)``, unvalidated, so a caller
     can measure how far each is from unit norm.
     """
-    v = _param_rows(params).T
+    v = _param_rows(params)
     p = Workspace(v.shape, x).amplitudes(v)
     # amplitude index 2*i + j: basis bit i of the first slot, j of the second
     amp = np.stack([p[i, 0] * p[j, 1] for i in (0, 1) for j in (0, 1)], axis=-1)
@@ -238,11 +246,10 @@ def prepare_state(params: CircuitParams | np.ndarray, x):
 def circuit_expectation(params: CircuitParams | np.ndarray, x):
     """The circuit's output at input x: a ``float`` for one point, an array for a batch.
 
-    Raw rows ``(T, 6)`` are paired with ``x`` by broadcasting. Smooth and
-    2*pi-periodic in x, bounded by [min(g), max(g)].
+    :func:`circuit_expectation_grid` without a workspace, with a one-point
+    output as a ``float``. Smooth and 2*pi-periodic in x, bounded by
+    [min(g), max(g)].
     """
-    if not isinstance(params, CircuitParams):
-        params = _param_rows(params).T
     out = circuit_expectation_grid(params, x)
     return float(out) if out.ndim == 0 else out
 
@@ -252,20 +259,21 @@ def circuit_expectation_grid(
 ) -> np.ndarray:
     """Circuit output over an array of inputs (or a scalar).
 
-    ``params`` is a :class:`CircuitParams`, its raw vector
-    ``[theta1, theta2, g0..g3]`` of shape ``(6,)``, or raw parameters
-    with trailing batch axes, ``(6, *B)``; the output has the broadcast
-    shape of ``B`` and ``xs.shape``. Raw parameters of another shape raise
-    ``ValueError``, but their entries are not checked, so a non-finite
-    entry gives a non-finite output.
+    ``params`` is a :class:`CircuitParams`, one raw row
+    ``[theta1, theta2, g0..g3]`` of shape ``(6,)``, or a batch of rows
+    ``(*B, 6)``; the output has the broadcast shape of ``B`` and
+    ``xs.shape``, so rows ``(T, 1, 6)`` evaluate every row over a grid
+    ``(N,)`` as ``(T, N)``. Raw rows of another shape raise ``ValueError``,
+    but their entries are not checked, so a non-finite entry gives a
+    non-finite output.
 
     Without ``workspace`` the call builds its own, so the output is a
-    fresh array (a scalar for one point). With one, ``xs`` must be the
-    workspace's own ``xs`` and the parameters of its shape, and the output
-    is the workspace's buffer ``out``, overwritten by its next evaluation.
-    An array of that shape goes straight to the workspace's bound kernel,
-    which copies it into its float buffer as ``np.asarray`` would convert
-    it; any other input is converted and checked first.
+    fresh array (a scalar for one point). With one, ``params`` must be an
+    ``ndarray`` of the workspace's shape and ``xs`` the workspace's own
+    ``xs``, and anything else raises ``ValueError``. The array goes
+    straight to the workspace's bound kernel, which copies it into its
+    float buffer as ``np.asarray`` would convert it, and the output is the
+    workspace's buffer ``out``, overwritten by its next evaluation.
 
     The workspace's amplitudes, squared into probabilities, then the
     expectation of the diagonal observable, vectorized over the inputs and
@@ -273,14 +281,10 @@ def circuit_expectation_grid(
     amplitude route rather than any closed-form shortcut.
     """
     ws = workspace
-    if ws is not None and type(params) is np.ndarray and params.shape == ws.shape and xs is ws.xs:
-        return ws.expectation(params)
-    v = params.as_vector() if isinstance(params, CircuitParams) else np.asarray(params, dtype=float)
-    if ws is None:
-        if v.shape != (6,) and (v.ndim < 2 or v.shape[0] != 6):
-            raise ValueError(f"parameters must have shape (6,) or (6, *B), got shape {v.shape}")
-        out = Workspace(v.shape, xs).expectation(v)
-        return out if out.ndim else out[()]
-    if v.shape != ws.shape or xs is not ws.xs:
-        raise ValueError(f"the workspace serves parameters of shape {ws.shape} at its own inputs xs only")
-    return ws.expectation(v)
+    if ws is not None:
+        if type(params) is np.ndarray and params.shape == ws.shape and xs is ws.xs:
+            return ws.expectation(params)
+        raise ValueError(f"the workspace serves ndarray rows of shape {ws.shape} at its own inputs xs only")
+    v = _param_rows(params)
+    out = Workspace(v.shape, xs).expectation(v)
+    return out if out.ndim else out[()]

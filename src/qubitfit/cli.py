@@ -237,9 +237,13 @@ def cmd_eval(args) -> int:
 
 def cmd_coeffs(args) -> int:
     params = _load_params(args.params_file)
-    poly = cubic_coefficients(params)
-    for name, value in zip(("a0", "a1", "a2", "a3"), poly.as_array()):
-        print(f"{name}={float(value)!r}")
+    # non-finite coefficients are reported as an error, so numpy's overflow warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = cubic_coefficients(params).as_array()
+    lines = [f"{name}={float(value)!r}" for name, value in zip(("a0", "a1", "a2", "a3"), a)]
+    if not np.isfinite(a).all():
+        raise CliError(f"cubic coefficients are not finite ({', '.join(lines)})")
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -83,7 +83,7 @@ class PreparedIndex:
     """What many evaluations of the index on one grid share.
 
     ``values`` are ``target.fn(grid.points)``, only read; ``workspace``
-    is a :class:`~qubitfit.circuit.Workspace` for one raw vector at
+    is a :class:`~qubitfit.circuit.Workspace` for one raw row at
     ``grid.points``, whose buffers every evaluation reuses.
     """
 
@@ -108,7 +108,8 @@ def performance_index(
     ``prepared`` comes from a caller that evaluates the index many times
     on ``grid``, as the optimizer does: its target values stand in for
     ``target.fn(grid.points)`` and the kernel runs on its workspace, so
-    the evaluation allocates no buffer.
+    the evaluation allocates no buffer; ``params`` must then be a ``(6,)``
+    ``ndarray``.
     """
     if prepared is None:
         values, r = target.fn(grid.points), circuit_expectation_grid(params, grid.points)

@@ -8,6 +8,7 @@ into qubitfit, so agreement is evidence and not tautology.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,6 +141,32 @@ def per_qubit_grid(theta1, theta2, g, xs):
         + g[2] * p_first1 * p_second0
         + g[3] * p_first1 * p_second1
     )
+
+
+@dataclass(frozen=True)
+class TrigForm:
+    """Coefficients of c0 + c1*sin(x-t1) + c2*sin(x-t2) + c3*sin(x-t1)*sin(x-t2)."""
+
+    c0: float
+    c1: float
+    c2: float
+    c3: float
+
+
+def trig_form(g) -> TrigForm:
+    """Regroup diag(g) into the two-frequency trig coefficients, by index arithmetic.
+
+    Basis index b = 2*b_first + b_second; outcome bit 1 of a qubit carries
+    +sin, bit 0 carries -sin, each probability being (1 +/- sin) / 2. So
+    c0 sums every g_b, c1 signs g_b by b_second (rotated by x - theta1),
+    c2 by b_first, and c3 by the product of both signs, all over 4.
+    """
+    c = [0.0, 0.0, 0.0, 0.0]
+    for b in range(4):
+        s_first, s_second = (1.0 if b >> 1 else -1.0), (1.0 if b & 1 else -1.0)
+        for k, sign in enumerate((1.0, s_second, s_first, s_first * s_second)):
+            c[k] += sign * float(g[b]) / 4.0
+    return TrigForm(*c)
 
 
 def trig_evaluate(form, theta1, theta2, x):

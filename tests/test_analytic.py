@@ -10,15 +10,16 @@ from qubitfit import (
     CubicPoly,
     StateVector,
     circuit_expectation,
+    circuit_expectation_grid,
     closed_form_expectation,
     cubic_coefficients,
     cubic_remainder,
     prepare_state,
-    trig_form,
 )
+from qubitfit.analytic import _trig_coefficients
 
 from conftest import random_params
-from oracles import amplitude_quadratic_coefficients, fd_maclaurin, trig_evaluate
+from oracles import amplitude_quadratic_coefficients, fd_maclaurin, trig_evaluate, trig_form
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
 inputs = st.floats(min_value=-4.0, max_value=4.0)
@@ -61,8 +62,10 @@ def test_closed_form_accepts_arrays():
 
 
 def test_trig_coefficients_frozen_example():
+    # the oracle's regrouping and the one cubic_coefficients uses
     tf = trig_form(np.array([1.0, 2.0, 3.0, 4.0]))
     assert (tf.c0, tf.c1, tf.c2, tf.c3) == (2.5, 0.5, 1.0, 0.0)
+    assert _trig_coefficients(1.0, 2.0, 3.0, 4.0) == (2.5, 0.5, 1.0, 0.0)
 
 
 @given(angles, angles, diagonals, inputs)
@@ -70,13 +73,6 @@ def test_trig_form_reconstructs_output(theta1, theta2, g, x):
     params = CircuitParams(theta1, theta2, np.array(g))
     got = trig_evaluate(trig_form(params.g), theta1, theta2, x)
     assert math.isclose(got, closed_form_expectation(params, x), abs_tol=1e-12)
-
-
-def test_trig_form_validation():
-    with pytest.raises(ValueError):
-        trig_form(np.ones(3))
-    with pytest.raises(ValueError):
-        trig_form(np.array([1.0, math.inf, 0.0, 0.0]))
 
 
 def test_cubic_poly_evaluates_by_horner():
@@ -181,32 +177,79 @@ def test_amplitude_truncation_scales_as_cube():
     assert checked >= 350
 
 
+def _batch_outputs(rows, x) -> dict:
+    # every function that takes a batch of rows, on one batch
+    return {
+        "sim": circuit_expectation(rows, x),
+        "grid": circuit_expectation_grid(rows, x),
+        "closed": closed_form_expectation(rows, x),
+        "coeffs": cubic_coefficients(rows),
+        "remainder": cubic_remainder(rows, x),
+        "amp": prepare_state(rows, x),
+    }
+
+
+def _single_point_outputs(v, x) -> dict:
+    # the same functions on one row at one input, which keep the scalar types
+    one = _batch_outputs(v, x)
+    assert type(one["sim"]) is float and type(one["closed"]) is float
+    assert type(one["remainder"]) is float and type(one["grid"]) is np.float64
+    assert isinstance(one["coeffs"], CubicPoly) and type(one["coeffs"].a0) is float
+    assert isinstance(one["amp"], StateVector)
+    one["coeffs"], one["amp"] = one["coeffs"].as_array(), one["amp"].amp
+    return one
+
+
 @given(points)
 def test_batched_rows_equal_single_point_calls(points):
-    # each row of a (T, 6) batch must equal the single-point call bit for
-    # bit; huge entries overflow to inf or nan the same way on both routes
+    # each row of a batch must equal the single-point call bit for bit, in
+    # every batch shape: (T, 6) paired with the (T,) inputs, (T, 1, 6)
+    # against all of them as a (T, T) table, and (2, 3, 6) paired with
+    # (2, 3) inputs; huge entries overflow to inf or nan the same way on
+    # every route
     rows = np.array([row for row, _ in points])
     xs = np.array([x for _, x in points])
+    t = len(rows)
+    ts = np.arange(t)
+    six = np.resize(ts, 6).reshape(2, 3)
+    # (batch rows, batch inputs, and the row and input index of each output)
+    cases = [
+        (rows, xs, ts, ts),
+        (rows[:, None, :], xs, *np.broadcast_arrays(ts[:, None], ts)),
+        (rows[six], xs[six], six, six),
+    ]
     with np.errstate(all="ignore"):
-        sim = circuit_expectation(rows, xs)
-        closed = closed_form_expectation(rows, xs)
-        coeffs = cubic_coefficients(rows)
-        remainder = cubic_remainder(rows, xs)
-        amp = prepare_state(rows, xs)
-        assert coeffs.shape == (len(rows), 4) and amp.shape == (len(rows), 4)
-        for i, (row, x) in enumerate(points):
-            v = np.array(row)
-            one_sim = circuit_expectation(v, x)
-            one_closed = closed_form_expectation(v, x)
-            poly = cubic_coefficients(v)
-            one_remainder = cubic_remainder(v, x)
-            state = prepare_state(v, x)
-            assert type(one_sim) is float and type(one_closed) is float
-            assert type(one_remainder) is float
-            assert isinstance(poly, CubicPoly) and type(poly.a0) is float
-            assert isinstance(state, StateVector)
-            assert np.array_equal(sim[i], one_sim, equal_nan=True)
-            assert np.array_equal(closed[i], one_closed, equal_nan=True)
-            assert np.array_equal(coeffs[i], poly.as_array(), equal_nan=True)
-            assert np.array_equal(remainder[i], one_remainder, equal_nan=True)
-            assert np.array_equal(amp[i], state.amp)
+        one = [[_single_point_outputs(rows[i], x) for _, x in points] for i in range(t)]
+        for batch_rows, batch_xs, row_of, x_of in cases:
+            got = _batch_outputs(batch_rows, batch_xs)
+            shape = row_of.shape
+            assert got["coeffs"].shape == batch_rows.shape[:-1] + (4,)
+            assert got["amp"].shape == shape + (4,)
+            assert all(got[name].shape == shape for name in ("sim", "grid", "closed", "remainder"))
+            got["coeffs"] = np.broadcast_to(got["coeffs"], shape + (4,))
+            for index in np.ndindex(shape):
+                want = one[row_of[index]][x_of[index]]
+                for name, value in got.items():
+                    assert np.array_equal(value[index], want[name], equal_nan=True), (name, index)
+
+
+def test_a_batch_is_read_as_rows_whatever_its_shape():
+    # a (6, 6) array is six rows, not parameters along axis 0; a (6, T)
+    # array with T != 6 is rejected with its shape named; a (0, 6) batch
+    # gives empty outputs
+    rng = np.random.default_rng(17)
+    rows = rng.uniform(-2.0, 2.0, (6, 6))
+    xs = rng.uniform(-1.5, 1.5, 6)
+    got = _batch_outputs(rows, xs)
+    for i, x in enumerate(xs.tolist()):
+        for name, want in _single_point_outputs(rows[i], x).items():
+            assert np.array_equal(got[name][i], want), (name, i)
+    with pytest.raises(ValueError, match=r"got shape \(6, 5\)"):
+        cubic_coefficients(rows[:, :5])
+    for f in (circuit_expectation, circuit_expectation_grid, closed_form_expectation,
+              cubic_remainder, prepare_state):
+        with pytest.raises(ValueError, match=r"got shape \(6, 5\)"):
+            f(rows[:, :5], xs[:5])
+    empty = _batch_outputs(np.empty((0, 6)), np.empty(0))
+    assert empty["coeffs"].shape == empty["amp"].shape == (0, 4)
+    assert all(empty[name].shape == (0,) for name in ("sim", "grid", "closed", "remainder"))

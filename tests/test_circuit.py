@@ -60,11 +60,11 @@ def test_composed_rotation_equals_hadamard_then_rotation():
     xs = rng.uniform(-4.0, 4.0, n)
     # offsets x - theta from about 1e-9 to 1e3 in size, both signs, per slot
     offsets = rng.uniform(-1e3, 1e3, (2, n)) * 10.0 ** rng.uniform(-9.0, 0.0, (2, n))
-    rows = np.zeros((6, n))
-    rows[:2] = xs - offsets
+    rows = np.zeros((n, 6))
+    rows[:, :2] = (xs - offsets).T
     p = Workspace(rows.shape, xs).amplitudes(rows)
     eps = np.finfo(float).eps
-    for slot, theta in ((0, rows[1]), (1, rows[0])):
+    for slot, theta in ((0, rows[:, 1]), (1, rows[:, 0])):
         phi = xs - theta
         tol = 8.0 * eps * (1.0 + np.abs(phi))
         for b, want in enumerate(hadamard_rotation_amplitudes(phi)):
@@ -165,23 +165,23 @@ def test_stacked_kernel_equals_per_qubit_arithmetic():
             want = per_qubit_grid(p.theta1, p.theta2, p.g, xs)
             assert np.array_equal(circuit_expectation_grid(p, xs), want)
             assert np.array_equal(circuit_expectation_grid(v, xs), want)
-    # trailing batch axes, row by row: (6, T) paired with (T,) inputs or
-    # with one scalar, and (6, T, 1) against each grid
+    # batch axes, row by row: (T, 6) paired with (T,) inputs or with one
+    # scalar, and (T, 1, 6) against each grid
     rows = np.array(rows)
     xs = rng.uniform(-4.0, 4.0, len(rows))
     x = float(rng.uniform(-4.0, 4.0))
-    paired = circuit_expectation_grid(rows.T, xs)
-    shared = circuit_expectation_grid(rows.T, x)
+    paired = circuit_expectation_grid(rows, xs)
+    shared = circuit_expectation_grid(rows, x)
     for v, xi, got_paired, got_shared in zip(rows, xs, paired, shared):
         assert got_paired == per_qubit_grid(v[0], v[1], v[2:], xi)
         assert got_shared == per_qubit_grid(v[0], v[1], v[2:], x)
     for grid in grids:
-        out = circuit_expectation_grid(rows.T[..., None], grid)
+        out = circuit_expectation_grid(rows[:, None, :], grid)
         assert out.shape == (len(rows), len(grid))
         for v, got in zip(rows, out):
             assert np.array_equal(got, per_qubit_grid(v[0], v[1], v[2:], grid))
     with pytest.raises(ValueError):
-        circuit_expectation_grid(rows, xs)  # rows, not parameters along axis 0
+        circuit_expectation_grid(rows.T, xs)  # parameters along axis 0, not rows
     with pytest.raises(ValueError):
         circuit_expectation(rows[:, :5], xs)
 
@@ -210,7 +210,7 @@ def test_single_vector_kernel_at_every_input_rank(shape):
 def test_kernel_equals_per_qubit_arithmetic_on_non_finite_and_huge_rows():
     # raw rows are not validated: infinite entries, NaN and near-overflow
     # ones must give the per-qubit arithmetic's values, NaN in the same
-    # places, for one vector and for a (6, T) batch
+    # places, for one vector and for a (T, 6) batch
     inf, nan = math.inf, math.nan
     offsets = (0.3, inf, -inf, 1.7e308, -1e308)
     diagonals = (
@@ -227,8 +227,8 @@ def test_kernel_equals_per_qubit_arithmetic_on_non_finite_and_huge_rows():
         for v in rows:
             want = per_qubit_grid(v[0], v[1], v[2:], grid)
             assert np.array_equal(circuit_expectation_grid(v, grid), want, equal_nan=True)
-        paired = circuit_expectation_grid(rows.T, xs)
-        batched = circuit_expectation_grid(rows.T[..., None], grid)
+        paired = circuit_expectation_grid(rows, xs)
+        batched = circuit_expectation_grid(rows[:, None, :], grid)
         for v, x, got_paired, got in zip(rows, xs, paired, batched):
             assert np.array_equal(got_paired, per_qubit_grid(v[0], v[1], v[2:], x), equal_nan=True)
             assert np.array_equal(got, per_qubit_grid(v[0], v[1], v[2:], grid), equal_nan=True)
@@ -258,9 +258,11 @@ def test_a_workspace_serves_only_its_own_layout_and_inputs():
     with pytest.raises(ValueError):
         circuit_expectation_grid(v, grid.points.copy(), ws)
     with pytest.raises(ValueError):
-        circuit_expectation_grid(np.stack([v, v], axis=1), grid.points, ws)
-    batch = Workspace((6, 2), grid.points[:, None])
-    got = circuit_expectation_grid(np.stack([v, -v], axis=1), batch.xs, batch)
+        circuit_expectation_grid(np.stack([v, v]), grid.points, ws)
+    batch = Workspace((2, 6), grid.points[:, None])
+    with pytest.raises(ValueError):
+        circuit_expectation_grid(np.stack([v, -v], axis=1), batch.xs, batch)  # not rows
+    got = circuit_expectation_grid(np.stack([v, -v]), batch.xs, batch)
     assert got.shape == (30, 2)
     assert got[:, 0].tobytes() == circuit_expectation_grid(v, grid.points).tobytes()
 

@@ -235,6 +235,21 @@ def test_coeffs_parse_failure(tmp_path):
     assert main(["coeffs", str(bad)]) == 2
 
 
+def test_coeffs_that_overflow_are_a_one_line_usage_error(tmp_path, capsys):
+    # a valid file whose diagonal sums overflow once gave two numpy
+    # warnings, then a0=inf ... a3=inf, and exit 0
+    path = tmp_path / "huge.params"
+    path.write_text(
+        "theta1=0.1\ntheta2=0.2\ng0=1e308\ng1=1e308\ng2=1e308\ng3=1e308\n", encoding="utf-8"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would add lines to stderr
+        assert main(["coeffs", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: cubic coefficients are not finite (a0=inf, a1=-inf, a2=-inf, a3=inf)\n"
+    )
+
+
 @pytest.mark.parametrize("argv, name, kind", [
     (["coeffs", "bad.params"], "bad.params", "parameter"),
     (["verify", "--trials", "5", "--config", "bad.conf"], "bad.conf", "config"),

@@ -60,7 +60,7 @@ print(json.dumps({
     "features": {t: bool(__cpu_features__[t]) for t in __cpu_dispatch__},
     "special_rows": digest(special),
     "random_rows": digest([circuit_expectation_grid(v, grid.points, ws) for v in rows]),
-    "random_batch": digest([circuit_expectation_grid(rows.T[..., None], grid.points)]),
+    "random_batch": digest([circuit_expectation_grid(rows[:, None, :], grid.points)]),
     "state": digest([prepare_state(rows, rng.uniform(-4.0, 4.0, 2000))]),
     "fit": digest([fit.best.as_vector(), [fit.j_final, fit.max_error, fit.evals],
                    [v for step in fit.j_trace for v in step]]),

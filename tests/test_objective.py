@@ -156,9 +156,12 @@ def test_index_with_precomputed_target_values_is_the_same_double():
         prepared = PreparedIndex.of(values, grid)
         for _ in range(20):
             p = random_params(rng)
-            for params in (p, p.as_vector()):
-                want = performance_index(params, target, grid)
-                assert performance_index(params, target, grid, prepared) == want
+            want = performance_index(p, target, grid)
+            assert performance_index(p.as_vector(), target, grid) == want
+            assert performance_index(p.as_vector(), target, grid, prepared) == want
+            # a prepared index takes the raw vector only
+            with pytest.raises(ValueError):
+                performance_index(p, target, grid, prepared)
         assert values.tobytes() == before
     assert grid.points.tobytes() == points
 
@@ -182,10 +185,11 @@ def test_prepared_index_carries_nothing_from_one_row_to_the_next():
     assert grid.points.tobytes() == points
 
 
-def test_every_parameter_form_on_a_prepared_index_has_the_bytes_of_a_fresh_call():
-    # a float64 vector of the workspace's shape goes straight to its bound
-    # kernel; every other form is converted and checked first, and all of
-    # them give a fresh call's bytes, output and index alike
+def test_every_array_form_on_a_prepared_index_has_the_bytes_of_a_fresh_call():
+    # an ndarray of the workspace's shape, of any dtype, goes straight to its
+    # bound kernel, which copies it in as np.asarray would convert it: a
+    # fresh call's bytes, output and index alike. A list or a CircuitParams
+    # is not an array and is rejected, however good its values
     grid = make_grid(30, 1.5)
     target = get_target("gaussian")
     prepared = PreparedIndex.of(target.fn(grid.points), grid)
@@ -193,19 +197,22 @@ def test_every_parameter_form_on_a_prepared_index_has_the_bytes_of_a_fresh_call(
     v = np.array([0.4, -0.7, 0.5, -1.2, 1.8, -0.3])
     read_only = v.copy()
     read_only.setflags(write=False)
-    forms = [
+    arrays = [
         v.astype(np.float32),
         np.array([1, -2, 1, 0, -1, 2], dtype=np.int64),
-        v.tolist(),
-        CircuitParams.from_vector(v),
         read_only,
         v,
     ]
-    for params in forms:
+    for params in arrays:
         fresh = circuit_expectation_grid(params, grid.points).tobytes()
         assert circuit_expectation_grid(params, ws.xs, ws).tobytes() == fresh
         want = np.float64(performance_index(params, target, grid)).tobytes()
         assert np.float64(performance_index(params, target, grid, prepared)).tobytes() == want
+    for params in (v.tolist(), CircuitParams.from_vector(v)):
+        with pytest.raises(ValueError):
+            circuit_expectation_grid(params, ws.xs, ws)
+        with pytest.raises(ValueError):
+            performance_index(params, target, grid, prepared)
     assert read_only.tobytes() == v.tobytes()
 
 
@@ -237,10 +244,10 @@ def test_a_dropped_workspace_or_prepared_index_is_freed_at_once():
     gc.disable()
     try:
         ws = Workspace((6,), grid.points)
-        batch = Workspace((6, 2), grid.points[:, None])
+        batch = Workspace((2, 6), grid.points[:, None])
         prepared = PreparedIndex.of(target.fn(grid.points), grid)
         circuit_expectation_grid(v, ws.xs, ws)
-        batch.amplitudes(np.stack([v, -v], axis=1))
+        batch.amplitudes(np.stack([v, -v]))
         performance_index(v, target, grid, prepared)
         refs = [weakref.ref(ws), weakref.ref(batch), weakref.ref(prepared), weakref.ref(prepared.workspace)]
         del ws, batch, prepared

@@ -1,10 +1,11 @@
 """Greedy Gaussian random-walk (chemotaxis-style) minimizer of the index.
 
 One iteration costs exactly one objective evaluation: propose a step,
-keep it only if the index strictly improves. A successful step direction
-is replayed until it stops paying off (the "run"); a streak of rejected
-proposals shrinks the step scale. Everything is driven by a single seeded
-generator per restart, so results are reproducible bit for bit.
+keep it only if the index strictly improves. Steps have scale 0.3
+(``SIGMA0``), an accepted step is replayed until it stops paying off (the
+"run"), and after 50 rejections in a row (``FAIL_STREAK``) the scale is
+multiplied by 0.7 (``SIGMA_SHRINK``). Each restart starts at a random
+draw of its own seeded generator, so results are reproducible bit for bit.
 
 Each restart owns one :class:`~qubitfit.objective.PreparedIndex`: the
 target values and a kernel workspace that every one of its evaluations
@@ -17,6 +18,7 @@ shrink of the step scale.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,37 +36,34 @@ NORMAL_BLOCK = 256
 # doubles of the equivalent uniform() calls.
 DRAW_LOW = np.array([-math.pi, -math.pi, -2.0, -2.0, -2.0, -2.0, -math.pi])
 DRAW_SPAN = -2.0 * DRAW_LOW
+# the step-size law of the module docstring
+SIGMA0 = 0.3
+SIGMA_SHRINK = 0.7
+FAIL_STREAK = 50
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search knobs. ``init=None`` draws a fresh random start per restart.
+    """Search budget and seed, each an integer (``int`` or ``np.integer``).
 
-    Restart r runs on seed ``seed + r``; with ``init=None`` its starting
-    point is the first :func:`random_vector` draw of
-    ``np.random.default_rng(seed + r)``.
+    Restart r runs on seed ``seed + r``; its starting point is the first
+    :func:`random_vector` draw of ``np.random.default_rng(seed + r)``.
     """
 
     iterations: int = 5000
     restarts: int = 10
-    sigma0: float = 0.3
-    sigma_shrink: float = 0.7
-    fail_streak: int = 50
-    init: CircuitParams | None = None
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.iterations < 0:
+        try:
+            iterations, restarts, seed = map(operator.index, (self.iterations, self.restarts, self.seed))
+        except TypeError:
+            raise ValueError(f"iterations, restarts and seed must be integers, got {self}") from None
+        if iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.restarts < 1:
+        if restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if not (math.isfinite(self.sigma0) and self.sigma0 > 0):
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
-        if not (0.0 < self.sigma_shrink < 1.0):
-            raise ValueError(f"sigma_shrink must lie in (0, 1), got {self.sigma_shrink}")
-        if self.fail_streak < 1:
-            raise ValueError(f"fail_streak must be >= 1, got {self.fail_streak}")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
@@ -101,7 +100,7 @@ def _run_restart(
 ) -> tuple[np.ndarray, float, list[tuple[int, float]], int]:
     rng = np.random.default_rng(restart_seed)
     prepared = PreparedIndex.of(target_values, grid)
-    point = cfg.init.as_vector() if cfg.init is not None else random_vector(rng)
+    point = random_vector(rng)
     # the index takes the raw vector: a candidate with a non-finite entry
     # gets a non-finite index and is rejected below, so only the returned
     # best point is validated (in optimize)
@@ -111,8 +110,7 @@ def _run_restart(
         raise ValueError("performance index is not finite at the starting point")
 
     trace = [(0, current)]
-    sigma = cfg.sigma0
-    fail_streak, sigma_shrink = cfg.fail_streak, cfg.sigma_shrink
+    sigma, shrink, streak = SIGMA0, SIGMA_SHRINK, FAIL_STREAK
     fails = 0
     run_direction: np.ndarray | None = None
     # Proposals take rows of a block of standard normals z, scaled as
@@ -152,8 +150,8 @@ def _run_restart(
             # a non-finite candidate counts as an ordinary rejection
             run_direction = None
             fails += 1
-            if fails >= fail_streak:
-                sigma *= sigma_shrink
+            if fails >= streak:
+                sigma *= shrink
                 fails = 0
                 steps = cands = None
     return point, current, trace, evals
@@ -174,10 +172,10 @@ def optimize(target: TargetFunction, grid: SampleGrid, cfg: OptimizerConfig) -> 
         raise ValueError(
             f"target {target.id!r} overflows the performance index on the grid with x0={grid.x0}"
         )
-    runs = [_run_restart(target, grid, values, cfg, cfg.seed + r) for r in range(cfg.restarts)]
+    seed = operator.index(cfg.seed)  # a Python int: a numpy integer wraps at seed + r
+    runs = [_run_restart(target, grid, values, cfg, seed + r) for r in range(cfg.restarts)]
 
-    winner = min(range(len(runs)), key=lambda i: (runs[i][1], i))
-    point, j_final, trace, _ = runs[winner]
+    point, j_final, trace, _ = min(runs, key=lambda run: run[1])  # ties: lowest restart
     best = CircuitParams.from_vector(point)
     return FitResult(
         best=best,

@@ -57,9 +57,9 @@ _MULT_HI, _MULT_LO = 2549297995355413924, 4865540595714422341
 _PCG_MULT = tuple(_U64(m) for m in (_MULT_HI, _MULT_LO, _MULT_LO & 0xFFFFFFFF, _MULT_LO >> 32))
 
 
-def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
-    # SeedSequence's hash constants init * mult**j mod 2**32, j < n; the same for every row
-    c = [init]
+def _hash_consts(first: int, mult: int, n: int) -> np.ndarray:
+    # SeedSequence's hash constants first * mult**j mod 2**32, j < n; the same for every row
+    c = [first]
     for _ in range(n - 1):
         c.append(c[-1] * mult & 0xFFFFFFFF)
     return np.array(c, _U32)[:, None]

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import qubitfit.chemotaxis as chemotaxis_mod
 import qubitfit.circuit as circuit_mod
 from qubitfit import CircuitParams, run_reproduction
 
@@ -24,6 +25,16 @@ def reproduction_report(tmp_path_factory):
     by the acceptance criteria and the effectiveness tests."""
     out = tmp_path_factory.mktemp("reproduction")
     return run_reproduction(out, seed=42)
+
+
+def start_at(monkeypatch, params: CircuitParams) -> None:
+    """Start every optimizer restart at ``params``.
+
+    A restart starts at the module's ``random_vector`` draw; one that
+    returns ``params`` and leaves the generator as it found it gives the
+    run this start and the restart's own steps.
+    """
+    monkeypatch.setattr(chemotaxis_mod, "random_vector", lambda rng: params.as_vector())
 
 
 def workspace_rows() -> np.ndarray:

@@ -30,7 +30,7 @@ from qubitfit import (
 )
 from qubitfit.cli import main as cli_main
 
-from conftest import random_params
+from conftest import random_params, start_at
 from oracles import fd_maclaurin
 
 EQUIV_TOL = 1e-12
@@ -136,7 +136,7 @@ def test_criterion_5_retraining_at_reference_scale(announce, reproduction_report
     assert ok
 
 
-def test_criterion_6_optimizer_contracts(announce, reproduction_report):
+def test_criterion_6_optimizer_contracts(announce, reproduction_report, monkeypatch):
     # (a) best-J traces never increase, on full-scale runs
     traces_ok = True
     for fit in reproduction_report.fits.values():
@@ -161,8 +161,8 @@ def test_criterion_6_optimizer_contracts(announce, reproduction_report):
     # (c) a self-fit target (optimum J = 0 by construction) is recovered
     pstar = CircuitParams(0.4, -0.7, np.array([0.5, -1.2, 1.8, -0.3]))
     target = TargetFunction("selffit", lambda x: circuit_expectation_grid(pstar, x))
-    init = CircuitParams.from_vector(pstar.as_vector() + 0.2)
-    self_fit = optimize(target, grid, OptimizerConfig(iterations=4000, restarts=1, init=init, seed=7))
+    start_at(monkeypatch, CircuitParams.from_vector(pstar.as_vector() + 0.2))
+    self_fit = optimize(target, grid, OptimizerConfig(iterations=4000, restarts=1, seed=7))
     recovered = self_fit.j_final <= 1e-3
 
     ok = traces_ok and identical and recovered

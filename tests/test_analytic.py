@@ -190,14 +190,21 @@ def _batch_outputs(rows, x) -> dict:
 
 
 def _single_point_outputs(v, x) -> dict:
-    # the same functions on one row at one input, which keep the scalar types
-    one = _batch_outputs(v, x)
-    assert type(one["sim"]) is float and type(one["closed"]) is float
-    assert type(one["remainder"]) is float and type(one["grid"]) is np.float64
-    assert isinstance(one["coeffs"], CubicPoly) and type(one["coeffs"].a0) is float
-    assert isinstance(one["amp"], StateVector)
-    one["coeffs"], one["amp"] = one["coeffs"].as_array(), one["amp"].amp
-    return one
+    # the same functions on one row at one input, which keep the scalar
+    # types, and the same values, whether the input is a float, a numpy
+    # float or a 0-d array
+    outs = []
+    for x_in in (float(x), np.float64(x), np.array(x, dtype=float)):
+        one = _batch_outputs(v, x_in)
+        assert type(one["sim"]) is float and type(one["closed"]) is float
+        assert type(one["remainder"]) is float and type(one["grid"]) is np.float64
+        assert isinstance(one["coeffs"], CubicPoly) and type(one["coeffs"].a0) is float
+        assert isinstance(one["amp"], StateVector)
+        one["coeffs"], one["amp"] = one["coeffs"].as_array(), one["amp"].amp
+        outs.append(one)
+    for other in outs[1:]:
+        assert all(np.array_equal(other[k], outs[0][k], equal_nan=True) for k in outs[0])
+    return outs[0]
 
 
 @given(points)

@@ -19,6 +19,7 @@ from qubitfit import (
 import qubitfit.chemotaxis as chemotaxis_mod
 from qubitfit.chemotaxis import NORMAL_BLOCK, random_vector
 
+from conftest import start_at
 from oracles import chemotaxis_restart, uniform_vector
 
 
@@ -34,17 +35,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(sigma0=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(sigma0=math.nan)
-    with pytest.raises(ValueError):
-        OptimizerConfig(sigma_shrink=1.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(sigma_shrink=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(fail_streak=0)
-    with pytest.raises(ValueError):
         OptimizerConfig(seed=-1)
+    # a setting that is not an integer is rejected here, not deep in a restart
+    for bad in (dict(iterations=10.0), dict(restarts=2.0), dict(seed=1.5), dict(seed="3")):
+        with pytest.raises(ValueError, match="must be integers"):
+            OptimizerConfig(**bad)
+    # numpy integers are integers, and restart seeds past their range do
+    # not wrap: restart r runs on seed + r as a Python int
+    grid = make_grid(30, 1.5)
+    for seed in (3, 2**64 - 1):
+        cfg = OptimizerConfig(iterations=np.int64(20), restarts=np.int32(2), seed=np.uint64(seed))
+        got, want = (optimize(get_target("quadratic"), grid, c) for c in (cfg, small_cfg(iterations=20, seed=seed)))
+        assert (got.j_final, got.j_trace, got.evals) == (want.j_final, want.j_trace, want.evals)
 
 
 def test_random_vector_is_deterministic_and_in_range():
@@ -70,17 +72,19 @@ def test_random_vector_equals_uniform_calls_and_consumes_the_same_stream(seed):
     assert rng.normal(0.0, 0.3, 6).tobytes() == oracle_rng.normal(0.0, 0.3, 6).tobytes()
 
 
-def assert_optimize_equals_oracle(target, grid, cfg):
+def oracle_restart(index, cfg, r, init=None):
+    """The oracle's restart r under the module's step-size law, from ``init`` or a fresh draw."""
+    rng = np.random.default_rng(cfg.seed + r)
+    start = init.as_vector() if init is not None else uniform_vector(rng)
+    return chemotaxis_restart(index, start, rng, cfg.iterations, chemotaxis_mod.SIGMA0,
+                              chemotaxis_mod.SIGMA_SHRINK, chemotaxis_mod.FAIL_STREAK)
+
+
+def assert_optimize_equals_oracle(target, grid, cfg, init=None):
     """``optimize`` equals the per-proposal ``rng.normal`` loop of the oracle bit for bit."""
     got = optimize(target, grid, cfg)
-    runs = []
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + r)
-        start = cfg.init.as_vector() if cfg.init is not None else uniform_vector(rng)
-        runs.append(chemotaxis_restart(
-            lambda v: performance_index(v, target, grid), start, rng,
-            cfg.iterations, cfg.sigma0, cfg.sigma_shrink, cfg.fail_streak,
-        ))
+    runs = [oracle_restart(lambda v: performance_index(v, target, grid), cfg, r, init)
+            for r in range(cfg.restarts)]
     point, value, trace, _ = min(runs, key=lambda run: run[1])  # ties: lowest restart
     assert got.best.as_vector().tobytes() == point.tobytes()
     assert got.j_final == value
@@ -88,35 +92,44 @@ def assert_optimize_equals_oracle(target, grid, cfg):
     assert got.evals == sum(run[3] for run in runs)
 
 
-# 255-257 straddle the optimizer's block of normals; at sigma0 = 1e308 every
-# candidate overflows and is rejected, so every iteration draws a fresh step
+# 255-257 straddle the optimizer's block of normals; at a step scale of
+# 1e308 every candidate overflows and is rejected, so every iteration draws
+# a fresh step
 @pytest.mark.parametrize("sigma0", [0.3, 1e308])
 @pytest.mark.parametrize("iterations", [0, 1, 255, 256, 257, 1200])
-def test_steps_follow_the_normal_law_across_blocks(iterations, sigma0):
-    cfg = OptimizerConfig(iterations=iterations, restarts=2, seed=11, sigma0=sigma0)
+def test_steps_follow_the_normal_law_across_blocks(iterations, sigma0, monkeypatch):
+    monkeypatch.setattr(chemotaxis_mod, "SIGMA0", sigma0)
+    cfg = OptimizerConfig(iterations=iterations, restarts=2, seed=11)
     with np.errstate(all="ignore"):
         assert_optimize_equals_oracle(get_target("gaussian"), make_grid(30, 1.5), cfg)
 
 
 @pytest.mark.parametrize("init", [None, CircuitParams(0.4, -0.7, np.array([0.5, -1.2, 1.8, -0.3]))])
-def test_steps_follow_the_normal_law_through_shrinks(init):
+def test_steps_follow_the_normal_law_through_shrinks(init, monkeypatch):
     # three rejections in a row shrink sigma, many times within one block
-    cfg = OptimizerConfig(iterations=900, restarts=2, seed=5, fail_streak=3, init=init)
-    assert_optimize_equals_oracle(get_target("sigmoid"), make_grid(30, 1.5), cfg)
+    monkeypatch.setattr(chemotaxis_mod, "FAIL_STREAK", 3)
+    if init is not None:
+        start_at(monkeypatch, init)
+    cfg = OptimizerConfig(iterations=900, restarts=2, seed=5)
+    assert_optimize_equals_oracle(get_target("sigmoid"), make_grid(30, 1.5), cfg, init)
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=2**63))
 def test_steps_follow_the_normal_law_for_any_seed(seed):
-    cfg = OptimizerConfig(iterations=300, restarts=1, seed=seed, fail_streak=10)
-    assert_optimize_equals_oracle(get_target("quadratic"), make_grid(30, 1.5), cfg)
+    cfg = OptimizerConfig(iterations=300, restarts=1, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chemotaxis_mod, "FAIL_STREAK", 10)
+        assert_optimize_equals_oracle(get_target("quadratic"), make_grid(30, 1.5), cfg)
 
 
 def test_one_index_call_per_evaluation_across_blocks_accepts_and_shrinks(monkeypatch):
     # every evaluation is one call of the index through the module's name,
     # with the candidate the per-proposal oracle loop builds
     target, grid = get_target("sigmoid"), make_grid(30, 1.5)
-    cfg = OptimizerConfig(iterations=900, restarts=2, seed=5, fail_streak=10)
+    fail_streak = 10
+    monkeypatch.setattr(chemotaxis_mod, "FAIL_STREAK", fail_streak)
+    cfg = OptimizerConfig(iterations=900, restarts=2, seed=5)
     real = chemotaxis_mod.performance_index
     calls = []
 
@@ -137,9 +150,7 @@ def test_one_index_call_per_evaluation_across_blocks_accepts_and_shrinks(monkeyp
         return value
 
     for r in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + r)
-        chemotaxis_restart(index, uniform_vector(rng), rng, cfg.iterations,
-                           cfg.sigma0, cfg.sigma_shrink, cfg.fail_streak)
+        oracle_restart(index, cfg, r)
     assert calls == oracle_calls
 
     # the calls cover accepts followed by a rejection, and shrinks, in the
@@ -160,7 +171,7 @@ def test_one_index_call_per_evaluation_across_blocks_accepts_and_shrinks(monkeyp
                 accept_then_reject += accepted_mid_block
                 replaying, accepted_mid_block = False, False
                 fails += 1
-                if fails == cfg.fail_streak:
+                if fails == fail_streak:
                     shrinks += mid_block
                     fails = 0
     assert drawn > 2 * NORMAL_BLOCK
@@ -182,11 +193,12 @@ def test_optimize_evaluates_the_target_once():
     assert (result.j_final, result.j_trace, result.best) == (plain.j_final, plain.j_trace, plain.best)
 
 
-def test_zero_iterations_returns_init_unchanged():
+def test_zero_iterations_returns_init_unchanged(monkeypatch):
     init = CircuitParams(0.4, -0.7, np.array([0.5, -1.2, 1.8, -0.3]))
     grid = make_grid(30, 1.5)
     target = get_target("quadratic")
-    result = optimize(target, grid, OptimizerConfig(iterations=0, restarts=1, init=init, seed=3))
+    start_at(monkeypatch, init)
+    result = optimize(target, grid, OptimizerConfig(iterations=0, restarts=1, seed=3))
     assert result.best == init
     assert result.j_trace == ((0, performance_index(init, target, grid)),)
     assert result.j_final == result.j_trace[0][1]
@@ -220,14 +232,14 @@ def test_identical_seeds_give_bit_identical_results():
     assert a.evals == b.evals
 
 
-def test_self_fit_recovers_known_optimum():
+def test_self_fit_recovers_known_optimum(monkeypatch):
     # the target IS the circuit at a known point, so J = 0 is attainable;
     # a perturbed start must come back below 1e-3
     pstar = CircuitParams(0.4, -0.7, np.array([0.5, -1.2, 1.8, -0.3]))
     target = TargetFunction("selffit", lambda x: circuit_expectation_grid(pstar, x))
     grid = make_grid(30, 1.5)
-    init = CircuitParams.from_vector(pstar.as_vector() + 0.2)
-    cfg = OptimizerConfig(iterations=4000, restarts=1, init=init, seed=7)
+    start_at(monkeypatch, CircuitParams.from_vector(pstar.as_vector() + 0.2))
+    cfg = OptimizerConfig(iterations=4000, restarts=1, seed=7)
     result = optimize(target, grid, cfg)
     assert result.j_final <= 1e-3
 
@@ -238,12 +250,13 @@ def test_nonfinite_start_raises():
         optimize(bad, make_grid(5, 1.0), OptimizerConfig(iterations=1, restarts=1, seed=0))
 
 
-def test_overflowing_candidates_are_ordinary_rejections():
+def test_overflowing_candidates_are_ordinary_rejections(monkeypatch):
     # steps of scale 1e308 overflow to non-finite candidates; the loop must
     # reject them like any other worse point instead of raising
     grid = make_grid(30, 1.5)
     target = get_target("gaussian")
-    cfg = OptimizerConfig(iterations=200, restarts=2, seed=1, sigma0=1e308)
+    monkeypatch.setattr(chemotaxis_mod, "SIGMA0", 1e308)
+    cfg = OptimizerConfig(iterations=200, restarts=2, seed=1)
     with np.errstate(all="ignore"):
         result = optimize(target, grid, cfg)
     assert result.evals == cfg.restarts * (cfg.iterations + 1)

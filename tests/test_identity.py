@@ -73,11 +73,11 @@ def verify_hashes() -> dict:
     return {"verify": _sha(f"exit {code}\n{stdout.getvalue()}".encode())}
 
 
-def fit_hash(target_id, poly) -> str:
+def fit_hashes(name, target_id, poly) -> dict:
     fit = optimize(get_target(target_id, poly), make_grid(30, 1.5), FIT_CONFIG)
     trace = np.array(fit.j_trace, dtype=float)
     tail = np.array([fit.max_error, fit.evals], dtype=float)
-    return _sha(fit.best.as_vector().tobytes() + trace.tobytes() + tail.tobytes())
+    return {f"optimize/{name}": _sha(fit.best.as_vector().tobytes() + trace.tobytes() + tail.tobytes())}
 
 
 def expected(names) -> dict:
@@ -104,7 +104,8 @@ def test_verify_output_keeps_its_bytes(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(("name", "target_id", "poly"), FITS, ids=[f[0] for f in FITS])
 def test_optimize_runs_keep_their_bytes(name, target_id, poly):
-    assert fit_hash(target_id, poly) == expected([f"optimize/{name}"])[f"optimize/{name}"]
+    got = fit_hashes(name, target_id, poly)
+    assert got == expected(got)
 
 
 def write_entry() -> str:
@@ -119,7 +120,8 @@ def write_entry() -> str:
             entry.update(verify_hashes())
         finally:
             os.chdir(cwd)
-    entry.update({f"optimize/{name}": fit_hash(target_id, poly) for name, target_id, poly in FITS})
+    for fit in FITS:
+        entry.update(fit_hashes(*fit))
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {}
     manifest[machine_key()] = entry
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -143,6 +143,7 @@ def cubic_remainder(params: CircuitParams | np.ndarray, x):
     """
     a = cubic_coefficients(params)
     poly = a if isinstance(a, CubicPoly) else CubicPoly(*_columns(a))
+    x = np.asarray(x, dtype=float)
     out = abs(closed_form_expectation(params, x) - poly(x))
     return float(out) if np.ndim(out) == 0 else out
 

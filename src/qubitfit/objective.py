@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -63,7 +64,11 @@ class SampleGrid:
 
 
 def make_grid(n: int, x0: float) -> SampleGrid:
-    """n uniformly spaced points from -x0 to +x0 inclusive."""
+    """n uniformly spaced points from -x0 to +x0 inclusive; ``n`` must be an integer."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"grid point count n must be an integer, got n={n!r}") from None
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got n={n}")
     if not (math.isfinite(x0) and x0 > 0):
@@ -75,7 +80,7 @@ def make_grid(n: int, x0: float) -> SampleGrid:
     if not np.isfinite(points).all():
         raise ValueError(f"grid span 2*x0 must not overflow, got x0={x0}")
     points.setflags(write=False)
-    return SampleGrid(points=points, n=int(n), x0=float(x0))
+    return SampleGrid(points=points, n=n, x0=float(x0))
 
 
 @dataclass(frozen=True)

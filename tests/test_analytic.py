@@ -251,6 +251,12 @@ def test_a_batch_is_read_as_rows_whatever_its_shape():
     for i, x in enumerate(xs.tolist()):
         for name, want in _single_point_outputs(rows[i], x).items():
             assert np.array_equal(got[name][i], want), (name, i)
+    # plain lists give the same bits as arrays, for one row and for a batch,
+    # and so does a nested-list batch of steps against every row
+    for batch, x in ((rows[0], xs), (rows, xs), (rows, np.array([[1e-2], [2e-2]]))):
+        want = _batch_outputs(batch, x)
+        for name, value in _batch_outputs(batch, x.tolist()).items():
+            assert np.array_equal(value, want[name]), name
     with pytest.raises(ValueError, match=r"got shape \(6, 5\)"):
         cubic_coefficients(rows[:, :5])
     for f in (circuit_expectation, circuit_expectation_grid, closed_form_expectation,

@@ -372,7 +372,7 @@ def test_verify_cli_reports_failures_with_exit_1(monkeypatch, capsys):
     assert main(["verify", "--trials", "30", "--seed", "10"]) == 1
     out = capsys.readouterr().out
     assert "equivalence: FAIL" in out
-    assert "draw seed" in out
+    assert "first failure at draw 0 of seed 10: " in out
 
 
 def test_verify_cli_reports_a_nan_closed_form_with_exit_1(monkeypatch, capsys):
@@ -381,7 +381,7 @@ def test_verify_cli_reports_a_nan_closed_form_with_exit_1(monkeypatch, capsys):
     )
     assert main(["verify", "--trials", "30", "--seed", "10"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == ("equivalence: FAIL (30/30 failed; first failure at draw seed 10: "
+    assert lines[0] == ("equivalence: FAIL (30/30 failed; first failure at draw 0 of seed 10: "
                         "|sim - closed| = nan)")
     assert all(line.endswith("PASS (30 trials)") for line in lines[1:])
 
@@ -417,9 +417,9 @@ def test_verify_cli_reports_unnormalized_states_with_exit_1(monkeypatch, capsys)
     lines = capsys.readouterr().out.splitlines()
     # the scaled amplitudes move the simulator output as well as its states
     assert lines == [
-        "equivalence: FAIL (30/30 failed; first failure at draw seed 10: "
+        "equivalence: FAIL (30/30 failed; first failure at draw 0 of seed 10: "
         "|sim - closed| = 2.415e-03)",
-        "normalization: FAIL (30/30 failed; first failure at draw seed 10: "
+        "normalization: FAIL (30/30 failed; first failure at draw 0 of seed 10: "
         "| |psi|^2 - 1 | = 4.006e-03)",
         "boundedness: PASS (30 trials)",
         "remainder: PASS (30 trials)",

@@ -83,6 +83,12 @@ def test_grid_validation():
         make_grid(30, -1.0)
     with pytest.raises(ValueError):
         make_grid(30, math.inf)
+    # a float point count is rejected by name, not passed on to linspace
+    for n in (30.0, 2.5, "30", None):
+        with pytest.raises(ValueError, match=r"^grid point count n must be an integer, got n="):
+            make_grid(n, 1.5)
+    grid = make_grid(np.int64(30), 1.5)
+    assert type(grid.n) is int and grid.points.tobytes() == make_grid(30, 1.5).points.tobytes()
 
 
 def test_grid_span_must_not_overflow():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qubitfit.verify as verify_mod
+from qubitfit.chemotaxis import map_uniform
 from qubitfit.verify import SUITE_NAMES, run_suites
 
 from conftest import scale_amplitudes
@@ -15,26 +17,41 @@ from oracles import uniform_draw
 def per_draw_failures(trials, seed, check):
     """(failures, detail) of a loop over the draws one at a time.
 
-    ``check(v, x)`` returns why draw (v, x) fails, or None; draw i is
-    made from seed + i by the uniform-call oracle.
+    ``check(v, x)`` returns why draw (v, x) fails, or None; the draws
+    are made in turn from one ``default_rng(seed)`` by the uniform-call
+    oracle.
     """
+    rng = np.random.default_rng(seed)
     failures = []
     for i in range(trials):
-        v, x = uniform_draw(np.random.default_rng(seed + i))
+        v, x = uniform_draw(rng)
         why = check(v, x)
         if why is not None:
-            failures.append((seed + i, why))
-    first_seed, first_why = failures[0]
-    return len(failures), f"first failure at draw seed {first_seed}: {first_why}"
+            failures.append((i, why))
+    first, first_why = failures[0]
+    return len(failures), f"first failure at draw {first} of seed {seed}: {first_why}"
+
+
+def replay(seed, i):
+    """(v, x) of draw i of a seed, rebuilt alone as the module docstring says."""
+    u = map_uniform(np.random.default_rng(seed).random((i + 1, 7))[i])
+    return u[:6], u[6]
 
 
 def assert_draws_match_oracle(trials, seed):
     rows, xs = verify_mod._draws(trials, seed)
     assert rows.shape == (trials, 6) and xs.shape == (trials,)
+    rng = np.random.default_rng(seed)
     for i in range(trials):
-        v, x = uniform_draw(np.random.default_rng(seed + i))
+        v, x = uniform_draw(rng)
         assert rows[i].tobytes() == v.tobytes()
         assert xs[i].tobytes() == np.float64(x).tobytes()
+    # the last draw replays alone, and a longer run keeps these draws as its prefix
+    v, x = replay(seed, trials - 1)
+    assert (rows[-1].tobytes(), xs[-1].tobytes()) == (v.tobytes(), x.tobytes())
+    longer_rows, longer_xs = verify_mod._draws(trials + 3, seed)
+    assert longer_rows[:trials].tobytes() == rows.tobytes()
+    assert longer_xs[:trials].tobytes() == xs.tobytes()
 
 
 @given(st.integers(0, 2**64), st.sampled_from([1, 2]))
@@ -48,8 +65,8 @@ def test_block_draws_equal_uniform_calls_over_a_full_run(seed):
     assert_draws_match_oracle(2000, seed)
 
 
-# runs whose seeds cross a 32-bit word boundary change SeedSequence's
-# entropy word count; past 2**128 the extra words take extra mixing rounds
+# seeds just below a 32-bit word boundary, whose neighbours are one entropy
+# word longer, and seeds past 2**128: every seed size draws like default_rng
 @pytest.mark.parametrize("seed", [0, 2**32 - 3, 2**64 - 3, 2**96 - 3, 2**128 - 3])
 def test_draws_equal_uniform_calls_across_a_word_boundary(seed):
     assert_draws_match_oracle(7, seed)
@@ -63,6 +80,13 @@ def test_draws_equal_uniform_calls_past_the_pool():
 @settings(max_examples=50, deadline=None)
 def test_draws_equal_uniform_calls_for_any_seed(seed, trials):
     assert_draws_match_oracle(trials, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_neighbouring_seeds_share_no_draw(seed):
+    rows, _ = verify_mod._draws(1000, seed)
+    next_rows, _ = verify_mod._draws(1000, seed + 1)
+    assert {r.tobytes() for r in rows}.isdisjoint(r.tobytes() for r in next_rows)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 5])
@@ -84,6 +108,13 @@ def test_all_suites_pass_on_correct_build():
         assert r.detail == "ok"
 
 
+def test_all_suites_pass_over_a_sweep_of_seeds():
+    # distinct seeds draw distinct points: 200k draws in all
+    for seed in range(100):
+        failed = [(r.name, r.detail) for r in run_suites(2000, seed) if not r.passed]
+        assert failed == [], seed
+
+
 def test_trials_must_be_positive():
     with pytest.raises(ValueError):
         run_suites(0, seed=1)
@@ -93,7 +124,7 @@ def test_trials_must_be_positive():
 
 @pytest.mark.parametrize("trials, seed", [(10, 1.5), (10.0, 1), (10, "1"), (10, None)])
 def test_trials_and_seed_must_be_integers(trials, seed):
-    # a float seed must not be truncated to a neighbouring draw seed
+    # a float seed must not be truncated to a neighbouring seed
     with pytest.raises(ValueError, match="must be integers"):
         run_suites(trials, seed)
 
@@ -109,7 +140,7 @@ def test_single_trial_runs():
 
 def test_skewed_simulator_is_caught_and_reported(monkeypatch):
     # a constant offset well above tolerance must trip the equivalence
-    # suite and name a reproducible draw seed
+    # suite and name the first draw and its seed
     real = verify_mod.circuit_expectation
     monkeypatch.setattr(
         verify_mod, "circuit_expectation", lambda params, x: real(params, x) + 1e-6
@@ -118,7 +149,7 @@ def test_skewed_simulator_is_caught_and_reported(monkeypatch):
     eq = results["equivalence"]
     assert not eq.passed
     assert eq.failures == 50
-    assert "draw seed 10" in eq.detail
+    assert eq.detail.startswith("first failure at draw 0 of seed 10: |sim - closed| = ")
     # normalization and remainder do not consult the skewed function
     assert results["normalization"].passed
     assert results["remainder"].passed
@@ -142,7 +173,7 @@ def test_nan_closed_form_fails_equivalence(monkeypatch):
     eq = results["equivalence"]
     assert not eq.passed
     assert eq.failures == 50
-    assert eq.detail == "first failure at draw seed 5: |sim - closed| = nan"
+    assert eq.detail == "first failure at draw 0 of seed 5: |sim - closed| = nan"
     assert all(results[name].passed for name in ("normalization", "boundedness", "remainder"))
 
 
@@ -166,7 +197,7 @@ def test_unnormalized_states_fail_the_normalization_suite(monkeypatch, factor, e
     norm = results["normalization"]
     assert not norm.passed
     assert norm.failures == 40
-    assert norm.detail == f"first failure at draw seed 4: | |psi|^2 - 1 | = {error}"
+    assert norm.detail == f"first failure at draw 0 of seed 4: | |psi|^2 - 1 | = {error}"
     # the state and the output share one amplitude step, so the output
     # moves too; the closed form and its cubic truncation do not
     assert not results["equivalence"].passed
@@ -190,7 +221,7 @@ def test_first_failure_of_a_partly_skewed_simulator(monkeypatch):
         return f"|sim - closed| = {diff:.3e}" if diff > verify_mod.EQUIV_TOL else None
 
     failures, detail = per_draw_failures(60, 20, check)
-    assert 0 < failures < 60 and not detail.startswith("first failure at draw seed 20:")
+    assert 0 < failures < 60 and not detail.startswith("first failure at draw 0 of seed 20:")
     eq = _suite("equivalence", 60, 20)
     assert (eq.failures, eq.detail) == (failures, detail)
 
@@ -205,7 +236,7 @@ def test_first_failure_of_a_partly_skewed_closed_form(monkeypatch):
         return f"|sim - closed| = {diff:.3e}" if diff > verify_mod.EQUIV_TOL else None
 
     failures, detail = per_draw_failures(60, 6, check)
-    assert 0 < failures < 60 and not detail.startswith("first failure at draw seed 6:")
+    assert 0 < failures < 60 and not detail.startswith("first failure at draw 0 of seed 6:")
     eq = _suite("equivalence", 60, 6)
     assert (eq.failures, eq.detail) == (failures, detail)
 
@@ -225,6 +256,25 @@ def test_first_failure_of_a_partly_skewed_remainder(monkeypatch):
         return None if ok else f"remainder ratio {ratio:.3f} outside [4, 64]"
 
     failures, detail = per_draw_failures(60, 8, check)
-    assert 0 < failures < 60 and not detail.startswith("first failure at draw seed 8:")
+    assert 0 < failures < 60 and not detail.startswith("first failure at draw 0 of seed 8:")
     rem = _suite("remainder", 60, 8)
     assert (rem.failures, rem.detail) == (failures, detail)
+
+
+def test_reported_first_failure_replays_alone(monkeypatch):
+    real = verify_mod.circuit_expectation
+    skew = lambda v, x: real(v, x) + np.where(np.asarray(x) > 0, 1e-6, 0.0)
+    monkeypatch.setattr(verify_mod, "circuit_expectation", skew)
+
+    def fails(v, x):
+        return not abs(skew(v, x) - verify_mod.closed_form_expectation(v, x)) <= verify_mod.EQUIV_TOL
+
+    eq = _suite("equivalence", 60, 20)
+    assert 0 < eq.failures < 60
+    match = re.match(r"first failure at draw (\d+) of seed 20: ", eq.detail)
+    assert match, eq.detail
+    i = int(match.group(1))
+    assert i > 0
+    # the named draw, rebuilt from the seed alone, fails; every draw before it passes
+    assert fails(*replay(20, i))
+    assert not any(fails(*replay(20, j)) for j in range(i))

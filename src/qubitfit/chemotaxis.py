@@ -7,9 +7,9 @@ keep it only if the index strictly improves. Steps have scale 0.3
 multiplied by 0.7 (``SIGMA_SHRINK``). Each restart starts at a random
 draw of its own seeded generator, so results are reproducible bit for bit.
 
-Each restart owns one :class:`~qubitfit.objective.PreparedIndex`: the
-target values and a kernel workspace that every one of its evaluations
-reuses. Each evaluation is still one call of ``performance_index``. Fresh
+Each restart owns one :class:`~qubitfit.objective.PreparedIndex`, a kernel
+workspace and the evaluation bound to it: each evaluation is one
+``performance_index`` call, which checks the candidate and runs it. Fresh
 proposals come from a block of normals, and the candidates for the rest
 of a block come from one add, made again after an accepted step or a
 shrink of the step scale.
@@ -105,7 +105,6 @@ def _run_restart(
     # gets a non-finite index and is rejected below, so only the returned
     # best point is validated (in optimize)
     current = performance_index(point, target, grid, prepared)
-    evals = 1
     if not math.isfinite(current):
         raise ValueError("performance index is not finite at the starting point")
 
@@ -138,8 +137,8 @@ def _run_restart(
             candidate = cands[k - NORMAL_BLOCK]
             k += 1
         value = performance_index(candidate, target, grid, prepared)
-        evals += 1
-        if math.isfinite(value) and value < current:
+        # current is finite and the index >= 0, NaN or +inf: no non-finite value passes
+        if value < current:
             point, current = candidate, value
             if run_direction is None:
                 run_direction = steps[k - 1]
@@ -147,14 +146,14 @@ def _run_restart(
             trace.append((it, current))
             cands = None
         else:
-            # a non-finite candidate counts as an ordinary rejection
             run_direction = None
             fails += 1
             if fails >= streak:
                 sigma *= shrink
                 fails = 0
                 steps = cands = None
-    return point, current, trace, evals
+    # one evaluation at the start and one per iteration
+    return point, current, trace, operator.index(cfg.iterations) + 1
 
 
 def optimize(target: TargetFunction, grid: SampleGrid, cfg: OptimizerConfig) -> FitResult:

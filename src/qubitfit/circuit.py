@@ -35,11 +35,12 @@ one kernel body over its own buffers. Its amplitude step computes the real
 amplitude pairs of both qubits in one stacked pass and feeds both the
 state (:func:`prepare_state`) and the output (the kernel
 :func:`circuit_expectation_grid`, of which :func:`circuit_expectation` is
-the float-typed form). Its ten ufuncs each write through their output
-argument. A plain call builds its own workspace, so its output is a fresh
-array, which the caller may overwrite. The optimizer keeps one workspace
-per restart and passes it in: a ``(6,)`` array then goes straight to the
-bound kernel, which copies it in, runs its ufuncs and allocates nothing.
+the float-typed form). Its eight ufunc calls each write through their
+output argument. A plain call builds its own workspace, so its output is a
+fresh array, which the caller may overwrite. The objective's prepared
+index (:class:`~qubitfit.objective.PreparedIndex`) holds one workspace per
+restart and calls its bound kernel directly, which copies a ``(6,)`` array
+in, runs its ufuncs and allocates nothing.
 
 All functions here are pure and all values other than a
 :class:`Workspace` immutable after construction, so concurrent use needs
@@ -59,6 +60,9 @@ NORM_TOL = 1e-12
 # converts a Python float operand anew on every call
 _HALF = np.array(0.5)
 _HALF.setflags(write=False)
+# the four-term sum starts at -0.0, as -0.0 + t is t for every double t
+_NEG_ZERO = np.array(-0.0)
+_NEG_ZERO.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +179,7 @@ class Workspace:
 
     def __init__(self, shape: tuple[int, ...], xs) -> None:
         self.xs = xs = np.asarray(xs, dtype=float)
-        self.shape = shape = tuple(shape)
+        shape = tuple(shape)
         # the batch axes B of the rows, right-aligned against the input axes;
         # a single row puts only new axes behind its slot axis
         extra = max(0, xs.ndim - len(shape) + 1)
@@ -193,11 +197,13 @@ class Workspace:
         p = np.empty((2,) + half.shape)
         p0, p1, first, second = p[0], p[1], p[:, 0, None], p[:, 1]
         terms = np.empty(np.broadcast_shapes(g.shape, first.shape))
-        # with the ellipsis, a term row is a view even when it is 0-d
-        t00, t01, t10, t11 = terms[0, 0, ...], terms[0, 1, ...], terms[1, 0, ...], terms[1, 1, ...]
         self.out = out = np.empty(terms.shape[2:])
+        # the four terms on one axis, summed into out in index order: as an
+        # outer axis term by term, as the only one (one output point) by
+        # numpy's pairwise inner loop, left to right below eight terms
+        terms4 = terms.reshape((4,) + out.shape)
         # closure cells: a call then skips the global and attribute lookups
-        subtract, multiply, add = np.subtract, np.multiply, np.add
+        subtract, multiply, add_reduce = np.subtract, np.multiply, np.add.reduce
         cos, sin, square = np.cos, np.sin, np.square
 
         def amplitudes(v):
@@ -212,13 +218,11 @@ class Workspace:
 
         def expectation(v):
             square(amplitudes(v), p)
-            # term (b_first, b_second) is (g_b * p_first) * p_second, as one
-            # qubit at a time would compute it; the four are summed in index order
+            # term (b_first, b_second) is (g_b * p_first) * p_second, as one qubit
+            # at a time would compute it; their sum is ((t00 + t01) + t10) + t11
             multiply(g, first, terms)
             multiply(terms, second, terms)
-            add(t00, t01, out)
-            add(out, t10, out)
-            add(out, t11, out)
+            add_reduce(terms4, 0, None, out, False, _NEG_ZERO)
             return out
 
         self.amplitudes, self.expectation = amplitudes, expectation
@@ -246,17 +250,14 @@ def prepare_state(params: CircuitParams | np.ndarray, x):
 def circuit_expectation(params: CircuitParams | np.ndarray, x):
     """The circuit's output at input x: a ``float`` for one point, an array for a batch.
 
-    :func:`circuit_expectation_grid` without a workspace, with a one-point
-    output as a ``float``. Smooth and 2*pi-periodic in x, bounded by
-    [min(g), max(g)].
+    :func:`circuit_expectation_grid` with a one-point output as a
+    ``float``. Smooth and 2*pi-periodic in x, bounded by [min(g), max(g)].
     """
     out = circuit_expectation_grid(params, x)
     return float(out) if out.ndim == 0 else out
 
 
-def circuit_expectation_grid(
-    params: CircuitParams | np.ndarray, xs: np.ndarray, workspace: Workspace | None = None
-) -> np.ndarray:
+def circuit_expectation_grid(params: CircuitParams | np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Circuit output over an array of inputs (or a scalar).
 
     ``params`` is a :class:`CircuitParams`, one raw row
@@ -267,24 +268,13 @@ def circuit_expectation_grid(
     but their entries are not checked, so a non-finite entry gives a
     non-finite output.
 
-    Without ``workspace`` the call builds its own, so the output is a
-    fresh array (a scalar for one point). With one, ``params`` must be an
-    ``ndarray`` of the workspace's shape and ``xs`` the workspace's own
-    ``xs``, and anything else raises ``ValueError``. The array goes
-    straight to the workspace's bound kernel, which copies it into its
-    float buffer as ``np.asarray`` would convert it, and the output is the
-    workspace's buffer ``out``, overwritten by its next evaluation.
-
-    The workspace's amplitudes, squared into probabilities, then the
-    expectation of the diagonal observable, vectorized over the inputs and
-    the batch. This is what the objective evaluates, so it stays on the
-    amplitude route rather than any closed-form shortcut.
+    The call builds its own workspace, so the output is a fresh array (a
+    scalar for one point): the workspace's amplitudes, squared into
+    probabilities, then the expectation of the diagonal observable,
+    vectorized over the inputs and the batch. This is what the objective
+    evaluates, so it stays on the amplitude route rather than any
+    closed-form shortcut.
     """
-    ws = workspace
-    if ws is not None:
-        if type(params) is np.ndarray and params.shape == ws.shape and xs is ws.xs:
-            return ws.expectation(params)
-        raise ValueError(f"the workspace serves ndarray rows of shape {ws.shape} at its own inputs xs only")
     v = _param_rows(params)
     out = Workspace(v.shape, xs).expectation(v)
     return out if out.ndim else out[()]

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuit import CircuitParams, Workspace, circuit_expectation_grid
+from .circuit import CircuitParams, Workspace, _param_rows, circuit_expectation_grid
 
 TARGET_IDS = ("quadratic", "gaussian", "sigmoid", "custom")
 
@@ -71,8 +72,8 @@ def make_grid(n: int, x0: float) -> SampleGrid:
         raise ValueError(f"grid point count n must be an integer, got n={n!r}") from None
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got n={n}")
-    if not (math.isfinite(x0) and x0 > 0):
-        raise ValueError(f"grid half-width must be positive and finite, got x0={x0}")
+    if not (isinstance(x0, numbers.Real) and math.isfinite(x0) and x0 > 0):
+        raise ValueError(f"grid half-width must be positive and finite, got x0={x0!r}")
     # linspace steps by the span 2*x0 / (n - 1) and scales its steps back
     # up; past about 8.99e307 that overflows and the points come out NaN
     with np.errstate(over="ignore", invalid="ignore"):
@@ -87,17 +88,28 @@ def make_grid(n: int, x0: float) -> SampleGrid:
 class PreparedIndex:
     """What many evaluations of the index on one grid share.
 
-    ``values`` are ``target.fn(grid.points)``, only read; ``workspace``
-    is a :class:`~qubitfit.circuit.Workspace` for one raw row at
-    ``grid.points``, whose buffers every evaluation reuses.
+    ``workspace`` is a :class:`~qubitfit.circuit.Workspace` for one raw
+    row at ``grid.points``; ``index(v)`` is one evaluation on its buffers
+    for a ``(6,)`` array ``v``, unchecked, against the target values, which
+    it only reads.
     """
 
-    values: np.ndarray
     workspace: Workspace
+    index: Callable[[np.ndarray], float]
 
     @classmethod
     def of(cls, values: np.ndarray, grid: SampleGrid) -> "PreparedIndex":
-        return cls(values, Workspace((6,), grid.points))
+        workspace = Workspace((6,), grid.points)
+        # closure cells, never the prepared index itself: no cycle forms
+        expectation, subtract = workspace.expectation, np.subtract
+
+        def index(v):
+            # r is the kernel's own buffer; r.dot is np.dot without its dispatch
+            r = expectation(v)
+            subtract(values, r, r)
+            return float(r.dot(r))
+
+        return cls(workspace, index)
 
 
 def performance_index(
@@ -111,19 +123,16 @@ def performance_index(
     ``params`` may be the raw vector ``[theta1, theta2, g0..g3]``, which is
     not validated: a non-finite entry gives a non-finite index.
     ``prepared`` comes from a caller that evaluates the index many times
-    on ``grid``, as the optimizer does: its target values stand in for
-    ``target.fn(grid.points)`` and the kernel runs on its workspace, so
-    the evaluation allocates no buffer; ``params`` must then be a ``(6,)``
-    ``ndarray``.
+    on ``grid``, as the optimizer does: one check that ``params`` is a
+    ``(6,)`` ``ndarray`` and ``grid`` the prepared one, then one call of
+    its ``index``, which allocates nothing. Without it, the call prepares
+    its own.
     """
     if prepared is None:
-        values, r = target.fn(grid.points), circuit_expectation_grid(params, grid.points)
-    else:
-        values, r = prepared.values, circuit_expectation_grid(params, grid.points, prepared.workspace)
-    # the kernel's output is its own array (fresh, or the workspace's), so
-    # the residual can overwrite it; r.dot is np.dot without its dispatch
-    np.subtract(values, r, r)
-    return float(r.dot(r))
+        params, prepared = _param_rows(params), PreparedIndex.of(target.fn(grid.points), grid)
+    if type(params) is np.ndarray and params.shape == (6,) and grid.points is prepared.workspace.xs:
+        return prepared.index(params)
+    raise ValueError("the index takes one raw row, an ndarray of shape (6,), at its prepared grid's points")
 
 
 def max_pointwise_error(params: CircuitParams, target: TargetFunction, grid: SampleGrid) -> float:

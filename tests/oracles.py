@@ -122,13 +122,12 @@ def per_qubit_state(theta1, theta2, xs):
     return np.stack([first[b >> 1] * second[b & 1] for b in range(4)], axis=-1)
 
 
-def per_qubit_grid(theta1, theta2, g, xs):
-    """Circuit output over ``xs`` with each qubit computed on its own.
+def per_qubit_terms(theta1, theta2, g, xs):
+    """The four terms (g_b * p_first) * p_second of the output, in index order.
 
     Two separate amplitude pairs (cos, sin) at ((x + pi/2) - theta) / 2,
-    four squares, and the four terms (g_b * p_first) * p_second summed in
-    index order: the same floating-point operations as the simulator
-    kernel, one qubit at a time, so the two agree bit for bit.
+    four squares, then each term one qubit at a time. ``theta1``,
+    ``theta2`` and each ``g[b]`` broadcast against ``xs``.
     """
     xs = np.asarray(xs, dtype=float)
     a_second0, a_second1 = _composed_amplitudes(xs, theta1)
@@ -136,11 +135,22 @@ def per_qubit_grid(theta1, theta2, g, xs):
     p_second0, p_second1 = np.square(a_second0), np.square(a_second1)
     p_first0, p_first1 = np.square(a_first0), np.square(a_first1)
     return (
-        g[0] * p_first0 * p_second0
-        + g[1] * p_first0 * p_second1
-        + g[2] * p_first1 * p_second0
-        + g[3] * p_first1 * p_second1
+        g[0] * p_first0 * p_second0,
+        g[1] * p_first0 * p_second1,
+        g[2] * p_first1 * p_second0,
+        g[3] * p_first1 * p_second1,
     )
+
+
+def per_qubit_grid(theta1, theta2, g, xs):
+    """Circuit output over ``xs`` with each qubit computed on its own.
+
+    The four :func:`per_qubit_terms` summed in index order,
+    ((t00 + t01) + t10) + t11: the same floating-point operations as the
+    simulator kernel, one qubit at a time, so the two agree bit for bit.
+    """
+    t00, t01, t10, t11 = per_qubit_terms(theta1, theta2, g, xs)
+    return t00 + t01 + t10 + t11
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from oracles import (
     matrix_expectation,
     per_qubit_grid,
     per_qubit_state,
+    per_qubit_terms,
     product_expectation,
 )
 
@@ -245,26 +246,48 @@ def test_a_workspace_carries_nothing_from_one_row_to_the_next():
     assert ws.xs is grid.points
     with np.errstate(all="ignore"):
         for v in workspace_rows():
-            got = circuit_expectation_grid(v, grid.points, ws)
+            got = ws.expectation(v)
             assert got is ws.out
             assert got.tobytes() == circuit_expectation_grid(v, grid.points).tobytes()
             assert np.array_equal(got, per_qubit_grid(v[0], v[1], v[2:], grid.points), equal_nan=True)
 
 
-def test_a_workspace_serves_only_its_own_layout_and_inputs():
+def test_a_batch_workspace_evaluates_each_row_as_a_fresh_call():
+    # the bound kernel checks nothing; its callers check the rows (the
+    # prepared index: tests/test_objective.py)
     grid = make_grid(30, 1.5)
-    ws = Workspace((6,), grid.points)
     v = np.array([0.4, -0.7, 0.5, -1.2, 1.8, -0.3])
-    with pytest.raises(ValueError):
-        circuit_expectation_grid(v, grid.points.copy(), ws)
-    with pytest.raises(ValueError):
-        circuit_expectation_grid(np.stack([v, v]), grid.points, ws)
     batch = Workspace((2, 6), grid.points[:, None])
-    with pytest.raises(ValueError):
-        circuit_expectation_grid(np.stack([v, -v], axis=1), batch.xs, batch)  # not rows
-    got = circuit_expectation_grid(np.stack([v, -v]), batch.xs, batch)
-    assert got.shape == (30, 2)
+    got = batch.expectation(np.stack([v, -v]))
+    assert got is batch.out and got.shape == (30, 2)
     assert got[:, 0].tobytes() == circuit_expectation_grid(v, grid.points).tobytes()
+    assert got[:, 1].tobytes() == circuit_expectation_grid(-v, grid.points).tobytes()
+
+
+def test_the_four_terms_are_summed_in_index_order():
+    # on these rows ((t00 + t01) + t10) + t11 and t00 + ((t01 + t10) + t11)
+    # differ, so only the kernel's order gives the oracle's bits: at a
+    # scalar input (one row, the sum's only axis), over a grid and over a
+    # (T, 1, 6) batch
+    rng = np.random.default_rng(20)
+    grid = make_grid(30, 1.5).points
+    rows = np.concatenate([rng.uniform(-np.pi, np.pi, (500, 2)), rng.uniform(-2.0, 2.0, (500, 4))], axis=1)
+    t = per_qubit_terms(rows[:, :1], rows[:, 1:2], rows[:, 2:, None].transpose(1, 0, 2), grid)
+    split = ((t[0] + t[1]) + t[2]) + t[3] != t[0] + ((t[1] + t[2]) + t[3])
+    keep = split.any(axis=1)
+    rows, split = rows[keep], split[keep]
+    assert len(rows) >= 100
+    # four -0.0 terms sum to -0.0 in either order; a sum started at +0.0 gives +0.0
+    rows = np.concatenate([rows, [[0.4, -0.7, -0.0, -0.0, -0.0, -0.0]]])
+    split = np.concatenate([split, np.ones((1, len(grid)), bool)])
+    batch = circuit_expectation_grid(rows[:, None, :], grid)
+    for v, where, got in zip(rows, split, batch):
+        want = per_qubit_grid(v[0], v[1], v[2:], grid)
+        assert got.tobytes() == want.tobytes()
+        assert circuit_expectation_grid(v, grid).tobytes() == want.tobytes()
+        x = grid[np.argmax(where)]
+        assert np.float64(circuit_expectation(v, x)).tobytes() == want[np.argmax(where)].tobytes()
+    assert np.signbit(batch[-1]).all()
 
 
 @given(angles, angles, diagonals, inputs)

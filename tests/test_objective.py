@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qubitfit import (
     CircuitParams,
-    circuit_expectation_grid,
     get_target,
     make_grid,
     max_pointwise_error,
@@ -17,7 +16,7 @@ from qubitfit import (
     polynomial_target,
 )
 from qubitfit.circuit import Workspace
-from qubitfit.objective import PreparedIndex
+from qubitfit.objective import PreparedIndex, SampleGrid
 
 from conftest import random_params, workspace_rows
 from oracles import sum_of_squares_index
@@ -83,6 +82,12 @@ def test_grid_validation():
         make_grid(30, -1.0)
     with pytest.raises(ValueError):
         make_grid(30, math.inf)
+    # a non-number half-width is rejected by name, not passed on to math
+    for x0 in ("1.5", None, 1 + 0j):
+        with pytest.raises(ValueError, match=r"^grid half-width must be positive and finite, got x0="):
+            make_grid(30, x0)
+    for x0 in (2, 1.5, np.float32(1.5)):
+        assert make_grid(30, x0).x0 == float(x0)
     # a float point count is rejected by name, not passed on to linspace
     for n in (30.0, 2.5, "30", None):
         with pytest.raises(ValueError, match=r"^grid point count n must be an integer, got n="):
@@ -192,14 +197,13 @@ def test_prepared_index_carries_nothing_from_one_row_to_the_next():
 
 
 def test_every_array_form_on_a_prepared_index_has_the_bytes_of_a_fresh_call():
-    # an ndarray of the workspace's shape, of any dtype, goes straight to its
-    # bound kernel, which copies it in as np.asarray would convert it: a
-    # fresh call's bytes, output and index alike. A list or a CircuitParams
-    # is not an array and is rejected, however good its values
+    # an ndarray of shape (6,), of any dtype, goes straight to the prepared
+    # index's bound closure, whose kernel copies it in as np.asarray would
+    # convert it: a fresh call's bytes. A list or a CircuitParams is not an
+    # array and is rejected, however good its values
     grid = make_grid(30, 1.5)
     target = get_target("gaussian")
     prepared = PreparedIndex.of(target.fn(grid.points), grid)
-    ws = prepared.workspace
     v = np.array([0.4, -0.7, 0.5, -1.2, 1.8, -0.3])
     read_only = v.copy()
     read_only.setflags(write=False)
@@ -210,34 +214,32 @@ def test_every_array_form_on_a_prepared_index_has_the_bytes_of_a_fresh_call():
         v,
     ]
     for params in arrays:
-        fresh = circuit_expectation_grid(params, grid.points).tobytes()
-        assert circuit_expectation_grid(params, ws.xs, ws).tobytes() == fresh
         want = np.float64(performance_index(params, target, grid)).tobytes()
+        assert np.float64(prepared.index(params)).tobytes() == want
         assert np.float64(performance_index(params, target, grid, prepared)).tobytes() == want
     for params in (v.tolist(), CircuitParams.from_vector(v)):
-        with pytest.raises(ValueError):
-            circuit_expectation_grid(params, ws.xs, ws)
         with pytest.raises(ValueError):
             performance_index(params, target, grid, prepared)
     assert read_only.tobytes() == v.tobytes()
 
 
 def test_a_prepared_index_still_rejects_wrong_shapes_and_foreign_inputs():
+    # its one check stands before the bound kernel, which checks nothing
     grid = make_grid(30, 1.5)
     target = get_target("sigmoid")
     prepared = PreparedIndex.of(target.fn(grid.points), grid)
-    ws = prepared.workspace
-    for bad in (np.ones(5), np.ones(7), np.ones((6, 2))):
+    v = np.ones(6)
+    for bad in (np.ones(5), np.ones(7), np.ones((6, 2)), np.ones((2, 6)), np.ones((1, 6))):
         for extra in ((), (prepared,)):
             with pytest.raises(ValueError):
                 performance_index(bad, target, grid, *extra)
+    for bad in (v.tolist(), CircuitParams.from_vector(v)):
         with pytest.raises(ValueError):
-            circuit_expectation_grid(bad, ws.xs, ws)
-    v = np.ones(6)
-    with pytest.raises(ValueError):
-        circuit_expectation_grid(v, grid.points.copy(), ws)
-    with pytest.raises(ValueError):
-        performance_index(v, target, make_grid(30, 1.5), prepared)
+            performance_index(bad, target, grid, prepared)
+    foreign = (make_grid(30, 1.5), SampleGrid(grid.points.copy(), grid.n, grid.x0))
+    for other in foreign:
+        with pytest.raises(ValueError):
+            performance_index(v, target, other, prepared)
 
 
 def test_a_dropped_workspace_or_prepared_index_is_freed_at_once():
@@ -252,7 +254,7 @@ def test_a_dropped_workspace_or_prepared_index_is_freed_at_once():
         ws = Workspace((6,), grid.points)
         batch = Workspace((2, 6), grid.points[:, None])
         prepared = PreparedIndex.of(target.fn(grid.points), grid)
-        circuit_expectation_grid(v, ws.xs, ws)
+        ws.expectation(v)
         batch.amplitudes(np.stack([v, -v]))
         performance_index(v, target, grid, prepared)
         refs = [weakref.ref(ws), weakref.ref(batch), weakref.ref(prepared), weakref.ref(prepared.workspace)]

@@ -35,12 +35,13 @@ one kernel body over its own buffers. Its amplitude step computes the real
 amplitude pairs of both qubits in one stacked pass and feeds both the
 state (:func:`prepare_state`) and the output (the kernel
 :func:`circuit_expectation_grid`, of which :func:`circuit_expectation` is
-the float-typed form). Its eight ufunc calls each write through their
-output argument. A plain call builds its own workspace, so its output is a
-fresh array, which the caller may overwrite. The objective's prepared
-index (:class:`~qubitfit.objective.PreparedIndex`) holds one workspace per
-restart and calls its bound kernel directly, which copies a ``(6,)`` array
-in, runs its ufuncs and allocates nothing.
+the float-typed form). Its eight ufunc calls each take operands of one
+shape and write through their output argument. A plain call builds its
+own workspace, so its output is a fresh array, which the caller may
+overwrite. The objective's prepared index
+(:class:`~qubitfit.objective.PreparedIndex`) holds one workspace per
+restart and calls its bound kernel directly, which copies a ``(6,)``
+array in, runs its ufuncs and allocates nothing.
 
 All functions here are pure and all values other than a
 :class:`Workspace` immutable after construction, so concurrent use needs
@@ -168,9 +169,9 @@ class Workspace:
     workspace's shape, unchecked, copies it into a float buffer and
     overwrites every buffer it reads, so no value of a call reaches the next:
 
-    - ``amplitudes(v)`` returns ``p``, with ``p[b, slot]`` the unsquared
-      amplitude of basis bit ``b`` in tensor slot ``slot`` (the first
-      carries theta2): cos and sin at ((x + pi/2) - theta) / 2;
+    - ``amplitudes(v)`` returns ``p``, with ``p[b, k]`` the unsquared
+      amplitude of basis bit ``b`` of the qubit offset by theta(k+1) (the
+      first tensor slot's is k = 1): cos and sin at ((x + pi/2) - theta) / 2;
     - ``expectation(v)`` returns ``out``, the output over ``B`` and ``xs``.
 
     The closures hold the buffers, never the workspace, so a dropped
@@ -179,36 +180,33 @@ class Workspace:
 
     def __init__(self, shape: tuple[int, ...], xs) -> None:
         self.xs = xs = np.asarray(xs, dtype=float)
-        shape = tuple(shape)
-        # the batch axes B of the rows, right-aligned against the input axes;
-        # a single row puts only new axes behind its slot axis
-        extra = max(0, xs.ndim - len(shape) + 1)
-        tail = (1,) * extra + shape[:-1]
+        # every buffer spans s, the rows' batch axes B broadcast against the
+        # input axes: each ufunc runs numpy's trivial loop on operands of one
+        # shape, and only the copies (setitem, far cheaper) broadcast
+        s = np.broadcast_shapes(tuple(shape)[:-1], xs.shape)
         # the rows are copied into vec, one parameter per slice of axis 0,
         # through its transposed view rows; the kernel reads vec as
-        # (theta2, theta1) with the new axes, and as g with its
-        # (b_first, b_second) axes in front
-        vec = np.empty(shape[-1:] + shape[:-1])
+        # (theta1, theta2) and as g with its (b_first, b_second) axes in front
+        vec = np.empty((6,) + s)
         rows = vec.transpose((*range(1, vec.ndim), 0))
-        theta, g = vec[(slice(1, None, -1),) + (None,) * extra], vec[2:].reshape((2, 2) + tail)
-        half = np.empty(np.broadcast_shapes(theta.shape, xs.shape))
-        xq = xs + math.pi / 2  # H|0> = R(pi/2)|0>, composed into each rotation
-        # p[b, slot]: the amplitude of basis bit b in tensor slot slot
-        p = np.empty((2,) + half.shape)
-        p0, p1, first, second = p[0], p[1], p[:, 0, None], p[:, 1]
-        terms = np.empty(np.broadcast_shapes(g.shape, first.shape))
-        self.out = out = np.empty(terms.shape[2:])
+        theta, g = vec[:2], vec[2:].reshape((2, 2) + s)
+        # H|0> = R(pi/2)|0>, composed into each rotation
+        xq = np.broadcast_to(xs + math.pi / 2, theta.shape).copy()
+        half, p = np.empty(theta.shape), np.empty((2,) + theta.shape)
+        p0, p1, first, second = p[0], p[1], p[:, 1, None], p[:, 0]
+        terms, ps = np.empty(g.shape), np.empty(g.shape)
+        self.out = out = np.empty(s)
         # the four terms on one axis, summed into out in index order: as an
         # outer axis term by term, as the only one (one output point) by
         # numpy's pairwise inner loop, left to right below eight terms
-        terms4 = terms.reshape((4,) + out.shape)
+        terms4 = terms.reshape((4,) + s)
         # closure cells: a call then skips the global and attribute lookups
         subtract, multiply, add_reduce = np.subtract, np.multiply, np.add.reduce
         cos, sin, square = np.cos, np.sin, np.square
 
         def amplitudes(v):
-            # axis 0 of half is the tensor slot; cos and sin go into one buffer,
-            # the slot's basis bit on axis 0 (a ufunc's last argument is its output)
+            # axis 0 of half is theta's index; cos and sin go into one buffer,
+            # the basis bit on axis 0 (a ufunc's last argument is its output)
             rows[...] = v
             subtract(xq, theta, half)
             multiply(half, _HALF, half)
@@ -220,8 +218,10 @@ class Workspace:
             square(amplitudes(v), p)
             # term (b_first, b_second) is (g_b * p_first) * p_second, as one qubit
             # at a time would compute it; their sum is ((t00 + t01) + t10) + t11
-            multiply(g, first, terms)
-            multiply(terms, second, terms)
+            terms[...] = first
+            ps[...] = second
+            multiply(g, terms, terms)
+            multiply(terms, ps, terms)
             add_reduce(terms4, 0, None, out, False, _NEG_ZERO)
             return out
 
@@ -243,7 +243,7 @@ def prepare_state(params: CircuitParams | np.ndarray, x):
     v = _param_rows(params)
     p = Workspace(v.shape, x).amplitudes(v)
     # amplitude index 2*i + j: basis bit i of the first slot, j of the second
-    amp = np.stack([p[i, 0] * p[j, 1] for i in (0, 1) for j in (0, 1)], axis=-1)
+    amp = np.stack([p[i, 1] * p[j, 0] for i in (0, 1) for j in (0, 1)], axis=-1)
     return StateVector(amp) if amp.ndim == 1 else amp
 
 

@@ -65,11 +65,11 @@ def test_composed_rotation_equals_hadamard_then_rotation():
     rows[:, :2] = (xs - offsets).T
     p = Workspace(rows.shape, xs).amplitudes(rows)
     eps = np.finfo(float).eps
-    for slot, theta in ((0, rows[:, 1]), (1, rows[:, 0])):
+    for k, theta in ((0, rows[:, 0]), (1, rows[:, 1])):
         phi = xs - theta
         tol = 8.0 * eps * (1.0 + np.abs(phi))
         for b, want in enumerate(hadamard_rotation_amplitudes(phi)):
-            assert (np.abs(p[b, slot] - want) <= tol).all()
+            assert (np.abs(p[b, k] - want) <= tol).all()
     assert np.abs(offsets).max() > 900.0
 
 

@@ -195,7 +195,7 @@ class Workspace:
         half, p = np.empty(theta.shape), np.empty((2,) + theta.shape)
         p0, p1, first, second = p[0], p[1], p[:, 1, None], p[:, 0]
         terms, ps = np.empty(g.shape), np.empty(g.shape)
-        self.out = out = np.empty(s)
+        out = np.empty(s)
         # the four terms on one axis, summed into out in index order: as an
         # outer axis term by term, as the only one (one output point) by
         # numpy's pairwise inner loop, left to right below eight terms

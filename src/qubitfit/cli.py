@@ -7,6 +7,10 @@ Options are declared once, in ``OPTIONS``, and each resolves once, before the
 subcommand runs: explicit flag, then the key of the same name in the config
 file (``--config`` or ``./qubitfit.conf``; its values are cast when it is
 read), then the QUBITFIT_SEED environment variable (seed only), then the default.
+
+Every subcommand runs with numpy's overflow and invalid-value warnings off:
+a non-finite result is always reported, as exit 2 or a failed check, so a
+warning would only add lines to stderr.
 """
 
 from __future__ import annotations
@@ -169,6 +173,12 @@ def _load_params(path: str):
         raise CliError(f"bad parameter file {path}: {exc}") from exc
 
 
+def _write_run(out: Path, target, grid, params) -> None:
+    """Write ``<target id>_run.csv`` in ``out``: the target and the circuit over the grid."""
+    write_run_csv(out / f"{target.id}_run.csv", grid.points, target(grid.points),
+                  circuit_expectation_grid(params, grid.points))
+
+
 def cmd_fit(args) -> int:
     target = _make_target(args)
     # checked before training but created only after it, so that a usage
@@ -177,9 +187,7 @@ def cmd_fit(args) -> int:
     try:
         grid = make_grid(args.n, args.x0)
         cfg = OptimizerConfig(iterations=args.iterations, restarts=args.restarts, seed=args.seed)
-        # a non-finite index is reported as an error, so numpy's overflow warnings are noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = optimize(target, grid, cfg)
+        result = optimize(target, grid, cfg)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -187,12 +195,7 @@ def cmd_fit(args) -> int:
     stem = target.id
     try:
         write_params_file(out / f"{stem}.params", result.best)
-        write_run_csv(
-            out / f"{stem}_run.csv",
-            grid.points,
-            target(grid.points),
-            circuit_expectation_grid(result.best, grid.points),
-        )
+        _write_run(out, target, grid, result.best)
         write_trace_csv(out / f"{stem}_trace.csv", result.j_trace)
         write_summary(out / f"{stem}_summary.txt", result.j_final, result.max_error, result.evals, args.seed)
         write_comparison_plot(out / f"{stem}.svg", target, result.best, args.x0)
@@ -213,21 +216,14 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    # a non-finite result is reported as an error, so numpy's overflow warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        j = performance_index(params, target, grid)
-        eps = max_pointwise_error(params, target, grid)
+    j = performance_index(params, target, grid)
+    eps = max_pointwise_error(params, target, grid)
     if not (math.isfinite(j) and math.isfinite(eps)):
         raise CliError(f"performance index is not finite (J={j!r}, max_error={eps!r})")
 
     out = _make_out_dir(args.out_dir)
     try:
-        write_run_csv(
-            out / f"{target.id}_run.csv",
-            grid.points,
-            target(grid.points),
-            circuit_expectation_grid(params, grid.points),
-        )
+        _write_run(out, target, grid, params)
     except OSError as exc:
         raise CliError(f"cannot write outputs to {out}: {exc}") from exc
     print(f"J={j!r}")
@@ -237,9 +233,7 @@ def cmd_eval(args) -> int:
 
 def cmd_coeffs(args) -> int:
     params = _load_params(args.params_file)
-    # non-finite coefficients are reported as an error, so numpy's overflow warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = cubic_coefficients(params).as_array()
+    a = cubic_coefficients(params).as_array()
     lines = [f"{name}={float(value)!r}" for name, value in zip(("a0", "a1", "a2", "a3"), a)]
     if not np.isfinite(a).all():
         raise CliError(f"cubic coefficients are not finite ({', '.join(lines)})")
@@ -330,7 +324,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _resolve_options(args)
-        return args.handler(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

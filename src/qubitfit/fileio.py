@@ -78,7 +78,8 @@ def format_params(params: CircuitParams) -> str:
 
 def _read_text(path: str | os.PathLike) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark, which would otherwise prefix the first key
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ParamsFileError(f"not UTF-8 text ({exc.reason})") from None

@@ -186,6 +186,34 @@ def trig_evaluate(form, theta1, theta2, x):
     return form.c0 + form.c1 * s1 + form.c2 * s2 + form.c3 * s1 * s2
 
 
+# row k signs g_b as trig_form's c_k does: c = H g / 4
+_H = np.array([[1, 1, 1, 1], [-1, 1, -1, 1], [-1, -1, 1, 1], [1, -1, -1, 1]], dtype=float)
+
+
+def fourier_cubic(theta1, theta2, g) -> np.ndarray:
+    """Maclaurin coefficients a0..a3 of the output, from its Fourier form: ``(..., 4)``.
+
+    With c = H g / 4, sin(x - t) = -sin t + x cos t + x^2 sin t / 2 - x^3 cos t / 6
+    and the products of sines collected by angle-sum identities:
+
+        a0 = c0 - c1 sin t1 - c2 sin t2 + c3 sin t1 sin t2
+        a1 = c1 cos t1 + c2 cos t2 - c3 sin(t1 + t2)
+        a2 = (c1 sin t1 + c2 sin t2) / 2 + c3 cos(t1 + t2)
+        a3 = -(c1 cos t1 + c2 cos t2) / 6 + (2/3) c3 sin(t1 + t2)
+
+    ``theta1``, ``theta2`` and the rows ``g`` ``(..., 4)`` broadcast.
+    """
+    c0, c1, c2, c3 = np.moveaxis(np.asarray(g, dtype=float) @ _H.T / 4.0, -1, 0)
+    s1, s2, k1, k2 = np.sin(theta1), np.sin(theta2), np.cos(theta1), np.cos(theta2)
+    s12, k12 = np.sin(theta1 + theta2), np.cos(theta1 + theta2)
+    return np.stack([
+        c0 - c1 * s1 - c2 * s2 + c3 * s1 * s2,
+        c1 * k1 + c2 * k2 - c3 * s12,
+        (c1 * s1 + c2 * s2) / 2.0 + c3 * k12,
+        -(c1 * k1 + c2 * k2) / 6.0 + 2.0 / 3.0 * c3 * s12,
+    ], axis=-1)
+
+
 def sum_of_squares_index(params, target_fn, xs) -> float:
     """Brute-force J: plain python loop over the grid."""
     total = 0.0

@@ -19,7 +19,13 @@ from qubitfit import (
 from qubitfit.analytic import _trig_coefficients
 
 from conftest import random_params
-from oracles import amplitude_quadratic_coefficients, fd_maclaurin, trig_evaluate, trig_form
+from oracles import (
+    amplitude_quadratic_coefficients,
+    fd_maclaurin,
+    fourier_cubic,
+    trig_evaluate,
+    trig_form,
+)
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
 inputs = st.floats(min_value=-4.0, max_value=4.0)
@@ -119,6 +125,22 @@ def test_cubic_matches_finite_differences():
         fd = fd_maclaurin(lambda xx: closed_form_expectation(params, xx), degree=3, h=1e-3)
         got = cubic_coefficients(params).as_array()
         assert np.all(np.abs(got - fd) <= 1e-6 * np.maximum(1.0, np.abs(got)))
+
+
+def test_cubic_equals_the_fourier_form_to_rounding():
+    # finite differences and the frozen values hold the coefficients to about
+    # 1e-6 and 1e-5 relative; this holds them to a few ulps of sum |g|
+    rng = np.random.default_rng(2018)
+    rows = np.concatenate(
+        [rng.uniform(-np.pi, np.pi, (20000, 2)), rng.uniform(-2.0, 2.0, (20000, 4))], axis=1
+    )
+    got = cubic_coefficients(rows)
+    want = fourier_cubic(rows[:, 0], rows[:, 1], rows[:, 2:])
+    bound = 4 * np.finfo(float).eps * np.abs(rows[:, 2:]).sum(axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= bound)
+    # and one point, through the CubicPoly route
+    poly = cubic_coefficients(rows[0])
+    assert np.all(np.abs(poly.as_array() - want[0]) <= bound[0])
 
 
 def test_remainder_matches_direct_recomputation():

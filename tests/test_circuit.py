@@ -238,16 +238,18 @@ def test_kernel_equals_per_qubit_arithmetic_on_non_finite_and_huge_rows():
 
 def test_a_workspace_carries_nothing_from_one_row_to_the_next():
     # one workspace fed finite, non-finite, near-overflow and finite rows
-    # again: each output is the workspace's own buffer and has the bits of
-    # a fresh call, and the per-qubit arithmetic's values, NaN in the same
-    # places
+    # again: each output is the workspace's one output buffer and has the
+    # bits of a fresh call, and the per-qubit arithmetic's values, NaN in
+    # the same places
     grid = make_grid(30, 1.5)
     ws = Workspace((6,), grid.points)
     assert ws.xs is grid.points
+    rows = workspace_rows()
+    out = ws.expectation(rows[0])
     with np.errstate(all="ignore"):
-        for v in workspace_rows():
+        for v in rows:
             got = ws.expectation(v)
-            assert got is ws.out
+            assert got is out
             assert got.tobytes() == circuit_expectation_grid(v, grid.points).tobytes()
             assert np.array_equal(got, per_qubit_grid(v[0], v[1], v[2:], grid.points), equal_nan=True)
 
@@ -259,9 +261,10 @@ def test_a_batch_workspace_evaluates_each_row_as_a_fresh_call():
     v = np.array([0.4, -0.7, 0.5, -1.2, 1.8, -0.3])
     batch = Workspace((2, 6), grid.points[:, None])
     got = batch.expectation(np.stack([v, -v]))
-    assert got is batch.out and got.shape == (30, 2)
+    assert got.shape == (30, 2)
     assert got[:, 0].tobytes() == circuit_expectation_grid(v, grid.points).tobytes()
     assert got[:, 1].tobytes() == circuit_expectation_grid(-v, grid.points).tobytes()
+    assert batch.expectation(np.stack([-v, v])) is got  # the workspace's one output buffer
 
 
 def test_the_four_terms_are_summed_in_index_order():

@@ -1,3 +1,4 @@
+import codecs
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -19,6 +20,7 @@ from qubitfit import (
     write_params_file,
 )
 from qubitfit.cli import main
+from qubitfit.fileio import read_config
 
 from conftest import scale_amplitudes
 
@@ -261,6 +263,26 @@ def test_a_file_that_is_not_utf8_is_a_usage_error(argv, name, kind, tmp_path, mo
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: bad {kind} file {name}: not UTF-8 text (invalid start byte)\n")
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+@pytest.mark.parametrize("name, text, argv, read", [
+    ("p.params", "theta1=0.3\ntheta2=-0.7\ng0=0.5\ng1=-1.2\ng2=1.8\ng3=-0.3\n",
+     ["coeffs", "p.params"], read_params_file),
+    ("qubitfit.conf", "trials=7\nseed=3\n", ["verify"], read_config),
+], ids=["params", "config"])
+def test_a_byte_order_mark_is_read_as_nothing(name, text, argv, read, tmp_path, monkeypatch, capsys):
+    # it once became an invisible part of the first key: "unknown keys: \ufefftheta1"
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    plain = read(path)
+    assert main(argv) == 0
+    printed = capsys.readouterr()
+    assert printed.err == "" and printed.out
+    path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    assert read(path) == plain
+    assert main(argv) == 0
+    assert capsys.readouterr() == printed
 
 
 def test_verify_cli_passes(capsys):

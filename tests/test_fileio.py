@@ -83,12 +83,16 @@ def test_arbitrary_text_parses_or_raises_params_file_error(text):
         assert np.isfinite(params.as_vector()).all()
 
 
-@given(documents)
-def test_read_config_reads_what_parse_keyvals_parses(text):
+@given(documents, st.booleans())
+def test_read_config_reads_what_parse_keyvals_parses(text, bom):
+    # a leading byte-order mark is not part of the document
+    written = "\ufeff" * bom + text
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "qubitfit.conf"
-        path.write_text(text, encoding="utf-8", newline="")
-        assert parse_outcome(read_config, path) == parse_outcome(parse_keyvals, text)
+        path.write_text(written, encoding="utf-8", newline="")
+        assert parse_outcome(read_config, path) == parse_outcome(
+            parse_keyvals, written.removeprefix("\ufeff")
+        )
 
 
 def test_format_layout():

@@ -8,7 +8,7 @@ multiplied by 0.7 (``SIGMA_SHRINK``). Each restart starts at a random
 draw of its own seeded generator, so results are reproducible bit for bit.
 
 Each restart owns one :class:`~qubitfit.objective.PreparedIndex`, a kernel
-workspace and the evaluation bound to it: each evaluation is one
+workspace that holds the target values: each evaluation is one
 ``performance_index`` call, which checks the candidate and runs it. Fresh
 proposals come from a block of normals, and the candidates for the rest
 of a block come from one add, made again after an accepted step or a

@@ -38,10 +38,10 @@ state (:func:`prepare_state`) and the output (the kernel
 the float-typed form). Its eight ufunc calls each take operands of one
 shape and write through their output argument. A plain call builds its
 own workspace, so its output is a fresh array, which the caller may
-overwrite. The objective's prepared index
-(:class:`~qubitfit.objective.PreparedIndex`) holds one workspace per
-restart and calls its bound kernel directly, which copies a ``(6,)``
-array in, runs its ufuncs and allocates nothing.
+overwrite. A workspace built with target values sums them, negated, as a
+fifth term, so its kernel returns the residual: the objective's prepared
+index (:class:`~qubitfit.objective.PreparedIndex`) holds one per restart
+and calls its bound kernel directly, which allocates nothing.
 
 All functions here are pure and all values other than a
 :class:`Workspace` immutable after construction, so concurrent use needs
@@ -172,13 +172,16 @@ class Workspace:
     - ``amplitudes(v)`` returns ``p``, with ``p[b, k]`` the unsquared
       amplitude of basis bit ``b`` of the qubit offset by theta(k+1) (the
       first tensor slot's is k = 1): cos and sin at ((x + pi/2) - theta) / 2;
-    - ``expectation(v)`` returns ``out``, the output over ``B`` and ``xs``.
+    - ``expectation(v)`` returns ``out``, the output over ``B`` and ``xs``;
+      given target ``values``, whose negation the sum takes as a fifth term,
+      ``output - values``: ``-(values - output)`` bit for bit, as rounding
+      to nearest is symmetric in sign, but for the sign of a zero or a NaN.
 
     The closures hold the buffers, never the workspace, so a dropped
     workspace is freed at once, without the cyclic garbage collector.
     """
 
-    def __init__(self, shape: tuple[int, ...], xs) -> None:
+    def __init__(self, shape: tuple[int, ...], xs, values=None) -> None:
         self.xs = xs = np.asarray(xs, dtype=float)
         # every buffer spans s, the rows' batch axes B broadcast against the
         # input axes: each ufunc runs numpy's trivial loop on operands of one
@@ -194,12 +197,14 @@ class Workspace:
         xq = np.broadcast_to(xs + math.pi / 2, theta.shape).copy()
         half, p = np.empty(theta.shape), np.empty((2,) + theta.shape)
         p0, p1, first, second = p[0], p[1], p[:, 1, None], p[:, 0]
-        terms, ps = np.empty(g.shape), np.empty(g.shape)
+        # the four terms, then -values if given, on one axis, summed into out in
+        # index order: as an outer axis term by term, as the only one (one output
+        # point) by numpy's pairwise inner loop, left to right below eight terms
+        summands = np.empty((4 if values is None else 5,) + s)
+        terms, ps = summands[:4].reshape(g.shape), np.empty(g.shape)
+        if values is not None:
+            summands[4] = np.negative(values)
         out = np.empty(s)
-        # the four terms on one axis, summed into out in index order: as an
-        # outer axis term by term, as the only one (one output point) by
-        # numpy's pairwise inner loop, left to right below eight terms
-        terms4 = terms.reshape((4,) + s)
         # closure cells: a call then skips the global and attribute lookups
         subtract, multiply, add_reduce = np.subtract, np.multiply, np.add.reduce
         cos, sin, square = np.cos, np.sin, np.square
@@ -222,7 +227,7 @@ class Workspace:
             ps[...] = second
             multiply(g, terms, terms)
             multiply(terms, ps, terms)
-            add_reduce(terms4, 0, None, out, False, _NEG_ZERO)
+            add_reduce(summands, 0, None, out, False, _NEG_ZERO)
             return out
 
         self.amplitudes, self.expectation = amplitudes, expectation

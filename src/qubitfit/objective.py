@@ -89,27 +89,18 @@ class PreparedIndex:
     """What many evaluations of the index on one grid share.
 
     ``workspace`` is a :class:`~qubitfit.circuit.Workspace` for one raw
-    row at ``grid.points``; ``index(v)`` is one evaluation on its buffers
-    for a ``(6,)`` array ``v``, unchecked, against the target values, which
-    it only reads.
+    row at ``grid.points`` and the target values; ``expectation(v)``, its
+    bound kernel, takes a ``(6,)`` array ``v``, unchecked, and returns the
+    residual ``output - values``, whose sum of squares is the index.
     """
 
     workspace: Workspace
-    index: Callable[[np.ndarray], float]
+    expectation: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def of(cls, values: np.ndarray, grid: SampleGrid) -> "PreparedIndex":
-        workspace = Workspace((6,), grid.points)
-        # closure cells, never the prepared index itself: no cycle forms
-        expectation, subtract = workspace.expectation, np.subtract
-
-        def index(v):
-            # r is the kernel's own buffer; r.dot is np.dot without its dispatch
-            r = expectation(v)
-            subtract(values, r, r)
-            return float(r.dot(r))
-
-        return cls(workspace, index)
+        workspace = Workspace((6,), grid.points, values)
+        return cls(workspace, workspace.expectation)
 
 
 def performance_index(
@@ -125,13 +116,15 @@ def performance_index(
     ``prepared`` comes from a caller that evaluates the index many times
     on ``grid``, as the optimizer does: one check that ``params`` is a
     ``(6,)`` ``ndarray`` and ``grid`` the prepared one, then one call of
-    its ``index``, which allocates nothing. Without it, the call prepares
-    its own.
+    its ``expectation``, which allocates nothing, and the residual's dot
+    product with itself, whose sign reaches no product ``r_i * r_i``.
+    Without it, the call prepares its own.
     """
     if prepared is None:
         params, prepared = _param_rows(params), PreparedIndex.of(target.fn(grid.points), grid)
     if type(params) is np.ndarray and params.shape == (6,) and grid.points is prepared.workspace.xs:
-        return prepared.index(params)
+        r = prepared.expectation(params)
+        return float(r.dot(r))  # np.dot without its dispatch
     raise ValueError("the index takes one raw row, an ndarray of shape (6,), at its prepared grid's points")
 
 

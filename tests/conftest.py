@@ -1,3 +1,4 @@
+import ctypes
 import sys
 from pathlib import Path
 
@@ -9,6 +10,29 @@ sys.path.insert(0, str(Path(__file__).parent))
 import qubitfit.chemotaxis as chemotaxis_mod
 import qubitfit.circuit as circuit_mod
 from qubitfit import CircuitParams, run_reproduction
+
+
+def blas_core() -> str:
+    """The core whose kernels numpy's bundled OpenBLAS runs here, or ``"unknown"``; never raises.
+
+    ``numpy.show_config()`` lists the build (``DYNAMIC_ARCH`` and its
+    baseline), not the core that ran: OpenBLAS picks its kernels, the
+    index's ``ddot`` among them, per CPU when it loads, and
+    ``OPENBLAS_CORETYPE`` overrides the pick. The library names its pick
+    through its ``*_get_corename*`` symbol, read here through ctypes.
+    """
+    root = Path(np.__file__).resolve().parent
+    for lib in sorted(root.parent.glob("numpy.libs/*openblas*")) + sorted(root.glob(".dylibs/*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(handle, name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return (corename() or b"unknown").decode(errors="replace")
+    return "unknown"
 
 
 def random_params(rng: np.random.Generator) -> CircuitParams:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qubitfit import CircuitParams
+
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 # O(h^4) central stencils for derivatives 0..3 at the origin.
@@ -212,6 +214,41 @@ def fourier_cubic(theta1, theta2, g) -> np.ndarray:
         (c1 * s1 + c2 * s2) / 2.0 + c3 * k12,
         -(c1 * k1 + c2 * k2) / 6.0 + 2.0 / 3.0 * c3 * s12,
     ], axis=-1)
+
+
+def fourier_optimum(values, xs):
+    """The certified global minimum of J over the inputs ``xs``: ``(J*, params, cond)``.
+
+    With c = H g / 4 and si = sin(x - ti), the output c0 + c1 s1 + c2 s2 +
+    c3 s1 s2 lies in the span of [1, sin x, cos x, sin 2x, cos 2x] (the
+    Fourier view of Schuld, Sweke & Meyer, PRA 103, 032430, 2021), with
+    weights
+
+        w = (c0 + c3 cos(t1 - t2) / 2, c1 cos t1 + c2 cos t2,
+             -(c1 sin t1 + c2 sin t2), -c3 sin(t1 + t2) / 2, -c3 cos(t1 + t2) / 2),
+
+    and every point of the span is reached. So J* is the residual of the
+    five-column least-squares fit, and the params that reach it follow from
+    its weights: t1 + t2 is the phase of the second harmonic (0 where it
+    vanishes), t1 = phase / 2 + pi / 4, so c3 = -2 |(w3, w4)| and
+    sin(t1 - t2) = 1; a 2x2 solve gives c1 and c2, then c0, and g = H^T c,
+    as H^T H = 4 I. ``cond`` is the fit matrix's condition number: J* and
+    the params carry rounding of order ``cond * eps``. theta1 has a family
+    of minimizers, so compare J, never the params.
+    """
+    xs = np.asarray(xs, dtype=float)
+    basis = np.stack([np.ones_like(xs), np.sin(xs), np.cos(xs), np.sin(2 * xs), np.cos(2 * xs)], axis=-1)
+    w = np.linalg.lstsq(basis, values, rcond=None)[0]
+    r = values - basis @ w
+    rho = math.hypot(w[3], w[4])
+    phase = math.atan2(w[3], w[4]) if rho else 0.0
+    t1 = phase / 2 + math.pi / 4
+    t2 = phase - t1
+    c3 = -2.0 * rho
+    c1, c2 = np.linalg.solve([[math.cos(t1), math.cos(t2)], [-math.sin(t1), -math.sin(t2)]], w[1:3])
+    c0 = w[0] - c3 * math.cos(t1 - t2) / 2
+    g = _H.T @ np.array([c0, c1, c2, c3])
+    return float(r @ r), CircuitParams(t1, t2, g), float(np.linalg.cond(basis))
 
 
 def sum_of_squares_index(params, target_fn, xs) -> float:

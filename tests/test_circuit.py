@@ -265,6 +265,14 @@ def test_a_batch_workspace_evaluates_each_row_as_a_fresh_call():
     assert got[:, 0].tobytes() == circuit_expectation_grid(v, grid.points).tobytes()
     assert got[:, 1].tobytes() == circuit_expectation_grid(-v, grid.points).tobytes()
     assert batch.expectation(np.stack([-v, v])) is got  # the workspace's one output buffer
+    # given target values, a fifth term -values: each row's output - values is
+    # -(values - output) bit for bit, over a grid and at one input
+    values = np.square(grid.points)
+    residual = Workspace((2, 1, 6), grid.points, values).expectation(np.stack([v, -v])[:, None, :])
+    for row, got in zip((v, -v), residual):
+        assert got.tobytes() == (-(values - circuit_expectation_grid(row, grid.points))).tobytes()
+    got = Workspace((6,), 0.7, 0.49).expectation(v)
+    assert got.tobytes() == np.float64(-(0.49 - circuit_expectation(v, 0.7))).tobytes()
 
 
 def test_the_four_terms_are_summed_in_index_order():

@@ -4,10 +4,10 @@ numpy picks each ufunc's loop from the CPU features it finds at import,
 and ``NPY_DISABLE_CPU_FEATURES`` switches dispatch targets off for one
 process. Each level this machine reaches runs in its own child process,
 which hashes the kernel's output on :func:`conftest.workspace_rows` and on
-random rows, a :func:`prepare_state` batch and a short quadratic fit. Only
-``sin``, ``cos`` and the arithmetic ufuncs are pinned here: the gaussian
-and sigmoid targets go through ``np.exp`` and ``np.tanh``, whose bytes
-differ between levels.
+random rows, the prepared index's J on both, a :func:`prepare_state`
+batch and a short quadratic fit. Only ``sin``, ``cos`` and the arithmetic
+ufuncs are pinned here: the gaussian and sigmoid targets go through
+``np.exp`` and ``np.tanh``, whose bytes differ between levels.
 """
 
 import json
@@ -39,9 +39,10 @@ except ImportError:
     from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 from conftest import workspace_rows
 from qubitfit import (
-    OptimizerConfig, circuit_expectation_grid, get_target, make_grid, optimize, prepare_state,
+    OptimizerConfig, circuit_expectation_grid, get_target, make_grid, optimize, performance_index, prepare_state,
 )
 from qubitfit.circuit import Workspace
+from qubitfit.objective import PreparedIndex
 
 def digest(arrays):
     h = hashlib.sha256()
@@ -53,14 +54,18 @@ grid = make_grid(30, 1.5)
 ws = Workspace((6,), grid.points)
 rng = np.random.default_rng(2024)
 rows = np.concatenate([rng.uniform(-np.pi, np.pi, (2000, 2)), rng.uniform(-2.0, 2.0, (2000, 4))], axis=1)
+quadratic = get_target("quadratic")
+prepared = PreparedIndex.of(quadratic.fn(grid.points), grid)
 with np.errstate(all="ignore"):
     special = [ws.expectation(v).copy() for v in workspace_rows()]
-fit = optimize(get_target("quadratic"), grid, OptimizerConfig(iterations=200, restarts=2, seed=42))
+    index = [performance_index(v, quadratic, grid, prepared) for v in np.concatenate([workspace_rows(), rows])]
+fit = optimize(quadratic, grid, OptimizerConfig(iterations=200, restarts=2, seed=42))
 print(json.dumps({
     "features": {t: bool(__cpu_features__[t]) for t in __cpu_dispatch__},
     "special_rows": digest(special),
     # each output is the workspace's buffer, so it is hashed before the next row overwrites it
     "random_rows": digest(ws.expectation(v) for v in rows),
+    "index": digest([index]),
     "random_batch": digest([circuit_expectation_grid(rows[:, None, :], grid.points)]),
     "state": digest([prepare_state(rows, rng.uniform(-4.0, 4.0, 2000))]),
     "fit": digest([fit.best.as_vector(), [fit.j_final, fit.max_error, fit.evals],

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qubitfit import (
     CircuitParams,
+    circuit_expectation_grid,
     get_target,
     make_grid,
     max_pointwise_error,
@@ -196,9 +197,37 @@ def test_prepared_index_carries_nothing_from_one_row_to_the_next():
     assert grid.points.tobytes() == points
 
 
+def test_the_index_has_the_bytes_of_the_residual_sum_of_squares():
+    # the byte-level oracle for J, built outside the index: r = values - output
+    # from a fresh kernel call, then float(r.dot(r)). The index may form the
+    # residual in any way that gives the same bytes, with or without a prepared
+    # workspace. A NaN may differ in its sign bit, which no caller reads: the
+    # optimizer rejects a NaN index, so no trace stores one
+    grid = make_grid(30, 1.5)
+    rng = np.random.default_rng(22)
+    rows = np.concatenate([
+        workspace_rows(),
+        np.concatenate([rng.uniform(-10.0, 10.0, (20000, 2)), rng.uniform(-8.0, 8.0, (20000, 4))], axis=1),
+    ])
+    targets = [get_target(t) for t in ("quadratic", "gaussian", "sigmoid")]
+    targets.append(polynomial_target([0.5, -1.0, 0.25, 0.3]))
+    with np.errstate(all="ignore"):
+        outputs = [circuit_expectation_grid(v, grid.points) for v in rows]
+        for target in targets:
+            values = target.fn(grid.points)
+            prepared = PreparedIndex.of(values, grid)
+            for v, out in zip(rows, outputs):
+                r = values - out
+                want = np.float64(r.dot(r)).tobytes()
+                for got in (performance_index(v, target, grid), performance_index(v, target, grid, prepared)):
+                    assert np.float64(got).tobytes() == want or (math.isnan(got) and np.isnan(r.dot(r))), (
+                        target.id, v, got, r.dot(r),
+                    )
+
+
 def test_every_array_form_on_a_prepared_index_has_the_bytes_of_a_fresh_call():
     # an ndarray of shape (6,), of any dtype, goes straight to the prepared
-    # index's bound closure, whose kernel copies it in as np.asarray would
+    # index's bound kernel, which copies it in as np.asarray would
     # convert it: a fresh call's bytes. A list or a CircuitParams is not an
     # array and is rejected, however good its values
     grid = make_grid(30, 1.5)
@@ -215,7 +244,8 @@ def test_every_array_form_on_a_prepared_index_has_the_bytes_of_a_fresh_call():
     ]
     for params in arrays:
         want = np.float64(performance_index(params, target, grid)).tobytes()
-        assert np.float64(prepared.index(params)).tobytes() == want
+        r = prepared.expectation(params)
+        assert np.float64(r.dot(r)).tobytes() == want
         assert np.float64(performance_index(params, target, grid, prepared)).tobytes() == want
     for params in (v.tolist(), CircuitParams.from_vector(v)):
         with pytest.raises(ValueError):

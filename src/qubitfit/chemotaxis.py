@@ -7,9 +7,10 @@ keep it only if the index strictly improves. Steps have scale 0.3
 multiplied by 0.7 (``SIGMA_SHRINK``). Each restart starts at a random
 draw of its own seeded generator, so results are reproducible bit for bit.
 
-Each restart owns one :class:`~qubitfit.objective.PreparedIndex`, a kernel
-workspace that holds the target values: each evaluation is one
-``performance_index`` call, which checks the candidate and runs it. Fresh
+A fit builds one kernel :class:`~qubitfit.circuit.Workspace` that holds the
+target values, shared by its restarts, which run one after another: each
+evaluation is one ``performance_index`` call, which checks the candidate
+and runs it, overwriting every buffer it reads. Fresh
 proposals come from a block of normals, and the candidates for the rest
 of a block come from one add, made again after an accepted step or a
 shrink of the step scale.
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitParams
-from .objective import PreparedIndex, SampleGrid, TargetFunction, max_pointwise_error, performance_index
+from .circuit import CircuitParams, Workspace
+from .objective import SampleGrid, TargetFunction, max_pointwise_error, performance_index
 
 N_DIM = 6
 # rows of standard normals drawn at once for the proposals of one restart
@@ -94,17 +95,16 @@ def random_vector(rng: np.random.Generator) -> np.ndarray:
 def _run_restart(
     target: TargetFunction,
     grid: SampleGrid,
-    target_values: np.ndarray,
+    workspace: Workspace,
     cfg: OptimizerConfig,
     restart_seed: int,
-) -> tuple[np.ndarray, float, list[tuple[int, float]], int]:
+) -> tuple[np.ndarray, float, list[tuple[int, float]]]:
     rng = np.random.default_rng(restart_seed)
-    prepared = PreparedIndex.of(target_values, grid)
     point = random_vector(rng)
     # the index takes the raw vector: a candidate with a non-finite entry
     # gets a non-finite index and is rejected below, so only the returned
     # best point is validated (in optimize)
-    current = performance_index(point, target, grid, prepared)
+    current = performance_index(point, target, grid, workspace)
     if not math.isfinite(current):
         raise ValueError("performance index is not finite at the starting point")
 
@@ -136,7 +136,7 @@ def _run_restart(
                 cands = point + steps[k:]
             candidate = cands[k - NORMAL_BLOCK]
             k += 1
-        value = performance_index(candidate, target, grid, prepared)
+        value = performance_index(candidate, target, grid, workspace)
         # current is finite and the index >= 0, NaN or +inf: no non-finite value passes
         if value < current:
             point, current = candidate, value
@@ -152,8 +152,7 @@ def _run_restart(
                 sigma *= shrink
                 fails = 0
                 steps = cands = None
-    # one evaluation at the start and one per iteration
-    return point, current, trace, operator.index(cfg.iterations) + 1
+    return point, current, trace
 
 
 def optimize(target: TargetFunction, grid: SampleGrid, cfg: OptimizerConfig) -> FitResult:
@@ -171,15 +170,17 @@ def optimize(target: TargetFunction, grid: SampleGrid, cfg: OptimizerConfig) -> 
         raise ValueError(
             f"target {target.id!r} overflows the performance index on the grid with x0={grid.x0}"
         )
+    workspace = Workspace((N_DIM,), grid.points, values)
     seed = operator.index(cfg.seed)  # a Python int: a numpy integer wraps at seed + r
-    runs = [_run_restart(target, grid, values, cfg, seed + r) for r in range(cfg.restarts)]
+    runs = [_run_restart(target, grid, workspace, cfg, seed + r) for r in range(cfg.restarts)]
 
-    point, j_final, trace, _ = min(runs, key=lambda run: run[1])  # ties: lowest restart
+    point, j_final, trace = min(runs, key=lambda run: run[1])  # ties: lowest restart
     best = CircuitParams.from_vector(point)
     return FitResult(
         best=best,
         j_final=j_final,
         j_trace=tuple(trace),
         max_error=max_pointwise_error(best, target, grid),
-        evals=sum(r[3] for r in runs),
+        # one evaluation at the start of each restart and one per iteration
+        evals=operator.index(cfg.restarts) * (operator.index(cfg.iterations) + 1),
     )

@@ -39,9 +39,10 @@ the float-typed form). Its eight ufunc calls each take operands of one
 shape and write through their output argument. A plain call builds its
 own workspace, so its output is a fresh array, which the caller may
 overwrite. A workspace built with target values sums them, negated, as a
-fifth term, so its kernel returns the residual: the objective's prepared
-index (:class:`~qubitfit.objective.PreparedIndex`) holds one per restart
-and calls its bound kernel directly, which allocates nothing.
+fifth term, so its kernel returns the residual: the optimizer builds one
+per fit, which every restart passes to
+:func:`~qubitfit.objective.performance_index`, and that calls its bound
+kernel directly, which allocates nothing.
 
 All functions here are pure and all values other than a
 :class:`Workspace` immutable after construction, so concurrent use needs

@@ -84,8 +84,10 @@ def _load_config(path: str | None) -> dict:
         if not Path(CONFIG_NAME).is_file():
             return {}
         path = CONFIG_NAME
-    elif not Path(path).is_file():
-        raise CliError(f"config file not found: {path}")
+    else:
+        _reject_nul(path, "bad config file")
+        if not Path(path).is_file():
+            raise CliError(f"config file not found: {path}")
     try:
         config = read_config(path)
     except ParamsFileError as exc:
@@ -142,8 +144,16 @@ def _make_target(args):
         raise CliError(str(exc)) from exc
 
 
+def _reject_nul(path, what: str) -> None:
+    """Reject a path with a NUL byte, naming it by its repr: no system call takes
+    one, ``Path.exists()`` calls it absent, and ``os`` raises an unnamed ``ValueError``."""
+    if "\0" in str(path):
+        raise CliError(f"{what} {str(path)!r}: embedded null byte")
+
+
 def _check_out_dir(out: Path) -> None:
     """Reject an output directory that could not be created; creates nothing."""
+    _reject_nul(out, "cannot create output directory")
     existing = out.absolute()
     try:
         while not existing.exists():
@@ -157,6 +167,7 @@ def _check_out_dir(out: Path) -> None:
 
 
 def _make_out_dir(out: Path) -> Path:
+    _reject_nul(out, "cannot create output directory")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -165,6 +176,7 @@ def _make_out_dir(out: Path) -> Path:
 
 
 def _load_params(path: str):
+    _reject_nul(path, "cannot read parameter file")
     try:
         return read_params_file(path)
     except OSError as exc:
@@ -175,7 +187,7 @@ def _load_params(path: str):
 
 def _write_run(out: Path, target, grid, params) -> None:
     """Write ``<target id>_run.csv`` in ``out``: the target and the circuit over the grid."""
-    write_run_csv(out / f"{target.id}_run.csv", grid.points, target(grid.points),
+    write_run_csv(out / f"{target.id}_run.csv", grid.points, target.fn(grid.points),
                   circuit_expectation_grid(params, grid.points))
 
 
@@ -257,6 +269,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    _check_out_dir(args.out_dir)
     try:
         report = run_reproduction(args.out_dir, seed=args.seed, iterations=args.iterations,
                                   restarts=args.restarts)

@@ -22,10 +22,6 @@ class TargetFunction:
     id: str
     fn: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, x):
-        out = self.fn(np.asarray(x, dtype=float))
-        return float(out) if np.ndim(out) == 0 else out
-
 
 _BUILTIN: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "quadratic": np.square,
@@ -60,7 +56,6 @@ class SampleGrid:
     """Uniform, endpoint-inclusive sample points on [-x0, x0]."""
 
     points: np.ndarray
-    n: int
     x0: float
 
 
@@ -81,51 +76,34 @@ def make_grid(n: int, x0: float) -> SampleGrid:
     if not np.isfinite(points).all():
         raise ValueError(f"grid span 2*x0 must not overflow, got x0={x0}")
     points.setflags(write=False)
-    return SampleGrid(points=points, n=n, x0=float(x0))
-
-
-@dataclass(frozen=True)
-class PreparedIndex:
-    """What many evaluations of the index on one grid share.
-
-    ``workspace`` is a :class:`~qubitfit.circuit.Workspace` for one raw
-    row at ``grid.points`` and the target values; ``expectation(v)``, its
-    bound kernel, takes a ``(6,)`` array ``v``, unchecked, and returns the
-    residual ``output - values``, whose sum of squares is the index.
-    """
-
-    workspace: Workspace
-    expectation: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def of(cls, values: np.ndarray, grid: SampleGrid) -> "PreparedIndex":
-        workspace = Workspace((6,), grid.points, values)
-        return cls(workspace, workspace.expectation)
+    return SampleGrid(points=points, x0=float(x0))
 
 
 def performance_index(
     params: CircuitParams | np.ndarray,
     target: TargetFunction,
     grid: SampleGrid,
-    prepared: PreparedIndex | None = None,
+    workspace: Workspace | None = None,
 ) -> float:
     """Sum of squared residuals between target and circuit output over the grid.
 
     ``params`` may be the raw vector ``[theta1, theta2, g0..g3]``, which is
     not validated: a non-finite entry gives a non-finite index.
-    ``prepared`` comes from a caller that evaluates the index many times
-    on ``grid``, as the optimizer does: one check that ``params`` is a
-    ``(6,)`` ``ndarray`` and ``grid`` the prepared one, then one call of
-    its ``expectation``, which allocates nothing, and the residual's dot
-    product with itself, whose sign reaches no product ``r_i * r_i``.
-    Without it, the call prepares its own.
+    ``workspace``, a :class:`~qubitfit.circuit.Workspace`
+    ``((6,), grid.points, values)`` for the target's ``values``, comes
+    from a caller that evaluates the index many times on ``grid``, as the
+    optimizer does: one check that ``params`` is a ``(6,)`` ``ndarray``
+    and ``grid`` the workspace's, then one call of its ``expectation``,
+    which allocates nothing and returns the residual, and the residual's
+    dot product with itself, whose sign reaches no product ``r_i * r_i``.
+    Without it, the call builds its own.
     """
-    if prepared is None:
-        params, prepared = _param_rows(params), PreparedIndex.of(target.fn(grid.points), grid)
-    if type(params) is np.ndarray and params.shape == (6,) and grid.points is prepared.workspace.xs:
-        r = prepared.expectation(params)
+    if workspace is None:
+        params, workspace = _param_rows(params), Workspace((6,), grid.points, target.fn(grid.points))
+    if type(params) is np.ndarray and params.shape == (6,) and grid.points is workspace.xs:
+        r = workspace.expectation(params)
         return float(r.dot(r))  # np.dot without its dispatch
-    raise ValueError("the index takes one raw row, an ndarray of shape (6,), at its prepared grid's points")
+    raise ValueError("the index takes one raw row, an ndarray of shape (6,), at its workspace's grid points")
 
 
 def max_pointwise_error(params: CircuitParams, target: TargetFunction, grid: SampleGrid) -> float:

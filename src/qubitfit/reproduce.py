@@ -65,7 +65,7 @@ def write_comparison_plot(
         path,
         dense,
         [
-            (f"target {target.id}", target(dense), "#cc0000"),
+            (f"target {target.id}", target.fn(dense), "#cc0000"),
             (label, circuit_expectation_grid(params, dense), "#000000"),
         ],
         title=f"{target.id}: target vs circuit approximation",

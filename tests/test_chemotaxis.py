@@ -48,6 +48,7 @@ def test_config_validation():
         cfg = OptimizerConfig(iterations=np.int64(20), restarts=np.int32(2), seed=np.uint64(seed))
         got, want = (optimize(get_target("quadratic"), grid, c) for c in (cfg, small_cfg(iterations=20, seed=seed)))
         assert (got.j_final, got.j_trace, got.evals) == (want.j_final, want.j_trace, want.evals)
+        assert type(got.evals) is int
 
 
 def test_random_vector_is_deterministic_and_in_range():
@@ -192,6 +193,27 @@ def test_optimize_evaluates_the_target_once():
     assert len(calls) == 2
     plain = optimize(get_target("quadratic"), grid, small_cfg(iterations=50))
     assert (result.j_final, result.j_trace, result.best) == (plain.j_final, plain.j_trace, plain.best)
+
+
+def test_every_restart_of_a_fit_evaluates_on_its_one_workspace(monkeypatch):
+    # restarts run one after another and each kernel call overwrites every
+    # buffer it reads, so one target-bound workspace serves them all
+    real = chemotaxis_mod.Workspace
+    built, used = [], set()
+
+    def counted_workspace(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    def recorded(params, target, grid, workspace):
+        used.add(id(workspace))
+        return performance_index(params, target, grid, workspace)
+
+    monkeypatch.setattr(chemotaxis_mod, "Workspace", counted_workspace)
+    monkeypatch.setattr(chemotaxis_mod, "performance_index", recorded)
+    result = optimize(get_target("gaussian"), make_grid(30, 1.5), small_cfg(restarts=3))
+    assert len(built) == 1 and used == {id(built[0])}
+    assert result.evals == 3 * (300 + 1)
 
 
 def test_zero_iterations_returns_init_unchanged(monkeypatch):

@@ -256,7 +256,7 @@ def test_a_workspace_carries_nothing_from_one_row_to_the_next():
 
 def test_a_batch_workspace_evaluates_each_row_as_a_fresh_call():
     # the bound kernel checks nothing; its callers check the rows (the
-    # prepared index: tests/test_objective.py)
+    # index on a target-bound workspace: tests/test_objective.py)
     grid = make_grid(30, 1.5)
     v = np.array([0.4, -0.7, 0.5, -1.2, 1.8, -0.3])
     batch = Workspace((2, 6), grid.points[:, None])

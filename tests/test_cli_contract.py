@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qubitfit.cli as cli_mod
 from qubitfit.cli import SEED_ENV, main
 from qubitfit.fileio import PARAM_KEYS
 from qubitfit.objective import TARGET_IDS
@@ -48,7 +49,7 @@ OPTION_VALUES = {
     "seed": SEEDS,
     "trials": mostly(st.integers(1, 200).map(str), BAD_INTS),
     "out_dir": mostly(
-        st.sampled_from(["out", "a/b", ".", ""]), st.sampled_from(["p.params", "p.params/sub"])
+        st.sampled_from(["out", "a/b", ".", ""]), st.sampled_from(["p.params", "p.params/sub", "a\x00b"])
     ),
 }
 
@@ -117,7 +118,7 @@ def invocations(draw):
     argv = [command]
     files = {"p.params": draw(encoded(params_texts()))}
     if command in ("eval", "coeffs"):
-        argv.append(draw(mostly(st.just("p.params"), st.sampled_from(["missing.params", "."]))))
+        argv.append(draw(mostly(st.just("p.params"), st.sampled_from(["missing.params", ".", "a\x00b"]))))
     if command in ("fit", "eval"):
         target = draw(mostly(st.sampled_from(TARGET_IDS), st.just("bogus")))
         argv += ["--target", target]
@@ -166,3 +167,43 @@ def test_every_run_exits_quietly_or_with_one_error_line(invocation):
         assert code in (0, 1), (code, err)
         notice = "reproduction checks FAILED\n" if code == 1 and argv[0] == "reproduce" else ""
         assert err == notice, err
+
+
+NUL_PATH = "a\x00b"
+FIT = ["fit", "--target", "quadratic", "--iterations", "5", "--restarts", "1"]
+EVAL = ["eval", "p.params", "--target", "quadratic"]
+REPRODUCE = ["reproduce", "--iterations", "5", "--restarts", "1"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "config", "message"),
+    [
+        (FIT + ["--out-dir", NUL_PATH], None, "cannot create output directory"),
+        (FIT, f"out_dir={NUL_PATH}\n", "cannot create output directory"),
+        (EVAL + ["--out-dir", NUL_PATH], None, "cannot create output directory"),
+        (EVAL, f"out_dir={NUL_PATH}\n", "cannot create output directory"),
+        (REPRODUCE + ["--out-dir", NUL_PATH], None, "cannot create output directory"),
+        (REPRODUCE, f"out_dir={NUL_PATH}\n", "cannot create output directory"),
+        (["coeffs", NUL_PATH], None, "cannot read parameter file"),
+        (["eval", NUL_PATH, "--target", "quadratic"], None, "cannot read parameter file"),
+        (["verify", "--trials", "5", "--config", NUL_PATH], None, "bad config file"),
+    ],
+)
+def test_a_nul_byte_in_a_path_is_one_error_line_naming_it_before_any_training(
+    argv, config, message, tmp_path, monkeypatch, capsys
+):
+    # no system call takes a path with a NUL byte; the run names the path by
+    # its repr and stops before it trains or writes anything
+    monkeypatch.chdir(tmp_path)
+    Path("p.params").write_text(
+        "theta1=0.4\ntheta2=-0.7\ng0=0.5\ng1=-1.2\ng2=1.8\ng3=-0.3\n", encoding="utf-8"
+    )
+    if config is not None:
+        Path("qubitfit.conf").write_text(config, encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(cli_mod, "optimize", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli_mod, "run_reproduction", lambda *args, **kw: calls.append(args))
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message} {NUL_PATH!r}: embedded null byte\n"
+    assert calls == [] and sorted(tmp_path.iterdir()) == before

@@ -4,8 +4,8 @@ numpy picks each ufunc's loop from the CPU features it finds at import,
 and ``NPY_DISABLE_CPU_FEATURES`` switches dispatch targets off for one
 process. Each level this machine reaches runs in its own child process,
 which hashes the kernel's output on :func:`conftest.workspace_rows` and on
-random rows, the prepared index's J on both, a :func:`prepare_state`
-batch and a short quadratic fit. Only ``sin``, ``cos`` and the arithmetic
+random rows, the index's J on both through a target-bound workspace, a
+:func:`prepare_state` batch and a short quadratic fit. Only ``sin``, ``cos`` and the arithmetic
 ufuncs are pinned here: the gaussian and sigmoid targets go through
 ``np.exp`` and ``np.tanh``, whose bytes differ between levels.
 """
@@ -42,7 +42,6 @@ from qubitfit import (
     OptimizerConfig, circuit_expectation_grid, get_target, make_grid, optimize, performance_index, prepare_state,
 )
 from qubitfit.circuit import Workspace
-from qubitfit.objective import PreparedIndex
 
 def digest(arrays):
     h = hashlib.sha256()
@@ -55,10 +54,10 @@ ws = Workspace((6,), grid.points)
 rng = np.random.default_rng(2024)
 rows = np.concatenate([rng.uniform(-np.pi, np.pi, (2000, 2)), rng.uniform(-2.0, 2.0, (2000, 4))], axis=1)
 quadratic = get_target("quadratic")
-prepared = PreparedIndex.of(quadratic.fn(grid.points), grid)
+bound = Workspace((6,), grid.points, quadratic.fn(grid.points))
 with np.errstate(all="ignore"):
     special = [ws.expectation(v).copy() for v in workspace_rows()]
-    index = [performance_index(v, quadratic, grid, prepared) for v in np.concatenate([workspace_rows(), rows])]
+    index = [performance_index(v, quadratic, grid, bound) for v in np.concatenate([workspace_rows(), rows])]
 fit = optimize(quadratic, grid, OptimizerConfig(iterations=200, restarts=2, seed=42))
 print(json.dumps({
     "features": {t: bool(__cpu_features__[t]) for t in __cpu_dispatch__},

@@ -17,22 +17,22 @@ from qubitfit import (
     polynomial_target,
 )
 from qubitfit.circuit import Workspace
-from qubitfit.objective import PreparedIndex, SampleGrid
+from qubitfit.objective import SampleGrid
 
 from conftest import random_params, workspace_rows
 from oracles import sum_of_squares_index
 
 
 def test_builtin_target_values():
-    assert get_target("quadratic")(1.5) == 2.25
-    assert get_target("gaussian")(0.0) == 1.0
-    assert math.isclose(get_target("gaussian")(1.0), math.exp(-1.0), rel_tol=1e-15)
-    assert math.isclose(get_target("sigmoid")(0.7), math.tanh(0.7), rel_tol=1e-15)
+    assert get_target("quadratic").fn(1.5) == 2.25
+    assert get_target("gaussian").fn(0.0) == 1.0
+    assert math.isclose(get_target("gaussian").fn(1.0), math.exp(-1.0), rel_tol=1e-15)
+    assert math.isclose(get_target("sigmoid").fn(0.7), math.tanh(0.7), rel_tol=1e-15)
 
 
 def test_targets_vectorize():
     xs = np.linspace(-1.5, 1.5, 7)
-    out = get_target("sigmoid")(xs)
+    out = get_target("sigmoid").fn(xs)
     assert out.shape == xs.shape
     assert np.allclose(out, np.tanh(xs), atol=0)
 
@@ -57,14 +57,14 @@ def test_polynomial_target_matches_quadratic():
     xs = np.linspace(-2.0, 2.0, 11)
     custom = get_target("custom", poly=[0.0, 0.0, 1.0])
     assert custom.id == "custom"
-    assert np.allclose(custom(xs), np.square(xs), atol=0)
+    assert np.allclose(custom.fn(xs), np.square(xs), atol=0)
     affine = polynomial_target([2.0, -3.0])
-    assert affine(0.5) == 0.5
+    assert affine.fn(0.5) == 0.5
 
 
 def test_grid_is_uniform_and_inclusive():
     grid = make_grid(30, 1.5)
-    assert grid.n == 30
+    assert grid.points.size == 30
     assert grid.x0 == 1.5
     assert grid.points[0] == -1.5
     assert grid.points[-1] == 1.5
@@ -94,7 +94,7 @@ def test_grid_validation():
         with pytest.raises(ValueError, match=r"^grid point count n must be an integer, got n="):
             make_grid(n, 1.5)
     grid = make_grid(np.int64(30), 1.5)
-    assert type(grid.n) is int and grid.points.tobytes() == make_grid(30, 1.5).points.tobytes()
+    assert grid.points.tobytes() == make_grid(30, 1.5).points.tobytes()
 
 
 def test_grid_span_must_not_overflow():
@@ -138,7 +138,7 @@ def test_index_matches_bruteforce_loop():
     for _ in range(20):
         params = random_params(rng)
         got = performance_index(params, target, grid)
-        assert math.isclose(got, sum_of_squares_index(params, target, grid.points), rel_tol=1e-12)
+        assert math.isclose(got, sum_of_squares_index(params, target.fn, grid.points), rel_tol=1e-12)
 
 
 def test_index_of_raw_vector_equals_index_of_params():
@@ -165,21 +165,21 @@ def test_index_with_precomputed_target_values_is_the_same_double():
         values = target.fn(grid.points)
         values.setflags(write=False)
         before = values.tobytes()
-        prepared = PreparedIndex.of(values, grid)
+        workspace = Workspace((6,), grid.points, values)
         for _ in range(20):
             p = random_params(rng)
             want = performance_index(p, target, grid)
             assert performance_index(p.as_vector(), target, grid) == want
-            assert performance_index(p.as_vector(), target, grid, prepared) == want
-            # a prepared index takes the raw vector only
+            assert performance_index(p.as_vector(), target, grid, workspace) == want
+            # with a workspace, the index takes the raw vector only
             with pytest.raises(ValueError):
-                performance_index(p, target, grid, prepared)
+                performance_index(p, target, grid, workspace)
         assert values.tobytes() == before
     assert grid.points.tobytes() == points
 
 
-def test_prepared_index_carries_nothing_from_one_row_to_the_next():
-    # one prepared workspace across finite, non-finite and near-overflow
+def test_a_target_bound_workspace_carries_nothing_from_one_row_to_the_next():
+    # one target-bound workspace across finite, non-finite and near-overflow
     # rows gives each row's own index and never writes the target values
     # or the grid points
     grid = make_grid(30, 1.5)
@@ -187,10 +187,10 @@ def test_prepared_index_carries_nothing_from_one_row_to_the_next():
     target = get_target("sigmoid")
     values = target.fn(grid.points)
     before = values.tobytes()
-    prepared = PreparedIndex.of(values, grid)
+    workspace = Workspace((6,), grid.points, values)
     with np.errstate(all="ignore"):
         for v in workspace_rows():
-            got = performance_index(v, target, grid, prepared)
+            got = performance_index(v, target, grid, workspace)
             want = performance_index(v, target, grid)
             assert got == want or (math.isnan(got) and math.isnan(want)), (v, got, want)
     assert values.tobytes() == before
@@ -200,8 +200,8 @@ def test_prepared_index_carries_nothing_from_one_row_to_the_next():
 def test_the_index_has_the_bytes_of_the_residual_sum_of_squares():
     # the byte-level oracle for J, built outside the index: r = values - output
     # from a fresh kernel call, then float(r.dot(r)). The index may form the
-    # residual in any way that gives the same bytes, with or without a prepared
-    # workspace. A NaN may differ in its sign bit, which no caller reads: the
+    # residual in any way that gives the same bytes, with or without a
+    # target-bound workspace. A NaN may differ in its sign bit, which no caller reads: the
     # optimizer rejects a NaN index, so no trace stores one
     grid = make_grid(30, 1.5)
     rng = np.random.default_rng(22)
@@ -215,24 +215,24 @@ def test_the_index_has_the_bytes_of_the_residual_sum_of_squares():
         outputs = [circuit_expectation_grid(v, grid.points) for v in rows]
         for target in targets:
             values = target.fn(grid.points)
-            prepared = PreparedIndex.of(values, grid)
+            workspace = Workspace((6,), grid.points, values)
             for v, out in zip(rows, outputs):
                 r = values - out
                 want = np.float64(r.dot(r)).tobytes()
-                for got in (performance_index(v, target, grid), performance_index(v, target, grid, prepared)):
+                for got in (performance_index(v, target, grid), performance_index(v, target, grid, workspace)):
                     assert np.float64(got).tobytes() == want or (math.isnan(got) and np.isnan(r.dot(r))), (
                         target.id, v, got, r.dot(r),
                     )
 
 
-def test_every_array_form_on_a_prepared_index_has_the_bytes_of_a_fresh_call():
-    # an ndarray of shape (6,), of any dtype, goes straight to the prepared
-    # index's bound kernel, which copies it in as np.asarray would
+def test_every_array_form_on_a_target_bound_workspace_has_the_bytes_of_a_fresh_call():
+    # an ndarray of shape (6,), of any dtype, goes straight to the
+    # workspace's bound kernel, which copies it in as np.asarray would
     # convert it: a fresh call's bytes. A list or a CircuitParams is not an
     # array and is rejected, however good its values
     grid = make_grid(30, 1.5)
     target = get_target("gaussian")
-    prepared = PreparedIndex.of(target.fn(grid.points), grid)
+    workspace = Workspace((6,), grid.points, target.fn(grid.points))
     v = np.array([0.4, -0.7, 0.5, -1.2, 1.8, -0.3])
     read_only = v.copy()
     read_only.setflags(write=False)
@@ -244,35 +244,35 @@ def test_every_array_form_on_a_prepared_index_has_the_bytes_of_a_fresh_call():
     ]
     for params in arrays:
         want = np.float64(performance_index(params, target, grid)).tobytes()
-        r = prepared.expectation(params)
+        r = workspace.expectation(params)
         assert np.float64(r.dot(r)).tobytes() == want
-        assert np.float64(performance_index(params, target, grid, prepared)).tobytes() == want
+        assert np.float64(performance_index(params, target, grid, workspace)).tobytes() == want
     for params in (v.tolist(), CircuitParams.from_vector(v)):
         with pytest.raises(ValueError):
-            performance_index(params, target, grid, prepared)
+            performance_index(params, target, grid, workspace)
     assert read_only.tobytes() == v.tobytes()
 
 
-def test_a_prepared_index_still_rejects_wrong_shapes_and_foreign_inputs():
+def test_the_index_on_a_workspace_still_rejects_wrong_shapes_and_foreign_inputs():
     # its one check stands before the bound kernel, which checks nothing
     grid = make_grid(30, 1.5)
     target = get_target("sigmoid")
-    prepared = PreparedIndex.of(target.fn(grid.points), grid)
+    workspace = Workspace((6,), grid.points, target.fn(grid.points))
     v = np.ones(6)
     for bad in (np.ones(5), np.ones(7), np.ones((6, 2)), np.ones((2, 6)), np.ones((1, 6))):
-        for extra in ((), (prepared,)):
+        for extra in ((), (workspace,)):
             with pytest.raises(ValueError):
                 performance_index(bad, target, grid, *extra)
     for bad in (v.tolist(), CircuitParams.from_vector(v)):
         with pytest.raises(ValueError):
-            performance_index(bad, target, grid, prepared)
-    foreign = (make_grid(30, 1.5), SampleGrid(grid.points.copy(), grid.n, grid.x0))
+            performance_index(bad, target, grid, workspace)
+    foreign = (make_grid(30, 1.5), SampleGrid(grid.points.copy(), grid.x0))
     for other in foreign:
         with pytest.raises(ValueError):
-            performance_index(v, target, other, prepared)
+            performance_index(v, target, other, workspace)
 
 
-def test_a_dropped_workspace_or_prepared_index_is_freed_at_once():
+def test_a_dropped_workspace_is_freed_at_once():
     # the bound kernel holds the buffers, never its workspace: a cycle would
     # keep every dropped workspace alive until the cyclic collector ran
     grid = make_grid(30, 1.5)
@@ -283,13 +283,13 @@ def test_a_dropped_workspace_or_prepared_index_is_freed_at_once():
     try:
         ws = Workspace((6,), grid.points)
         batch = Workspace((2, 6), grid.points[:, None])
-        prepared = PreparedIndex.of(target.fn(grid.points), grid)
+        bound = Workspace((6,), grid.points, target.fn(grid.points))
         ws.expectation(v)
         batch.amplitudes(np.stack([v, -v]))
-        performance_index(v, target, grid, prepared)
-        refs = [weakref.ref(ws), weakref.ref(batch), weakref.ref(prepared), weakref.ref(prepared.workspace)]
-        del ws, batch, prepared
-        assert [ref() for ref in refs] == [None] * 4
+        performance_index(v, target, grid, bound)
+        refs = [weakref.ref(ws), weakref.ref(batch), weakref.ref(bound)]
+        del ws, batch, bound
+        assert [ref() for ref in refs] == [None] * 3
     finally:
         if enabled:
             gc.enable()

@@ -38,8 +38,8 @@ state (:func:`prepare_state`) and the output (the kernel
 the float-typed form). Its eight ufunc calls each take operands of one
 shape and write through their output argument. A plain call builds its
 own workspace, so its output is a fresh array, which the caller may
-overwrite. A workspace built with target values sums them, negated, as a
-fifth term, so its kernel returns the residual: the optimizer builds one
+overwrite. A workspace sums its target values, negated, as a fifth term,
+so a workspace built with them returns the residual: the optimizer builds one
 per fit, which every restart passes to
 :func:`~qubitfit.objective.performance_index`, and that calls its bound
 kernel directly, which allocates nothing.
@@ -173,16 +173,17 @@ class Workspace:
     - ``amplitudes(v)`` returns ``p``, with ``p[b, k]`` the unsquared
       amplitude of basis bit ``b`` of the qubit offset by theta(k+1) (the
       first tensor slot's is k = 1): cos and sin at ((x + pi/2) - theta) / 2;
-    - ``expectation(v)`` returns ``out``, the output over ``B`` and ``xs``;
-      given target ``values``, whose negation the sum takes as a fifth term,
-      ``output - values``: ``-(values - output)`` bit for bit, as rounding
-      to nearest is symmetric in sign, but for the sign of a zero or a NaN.
+    - ``expectation(v)`` returns ``out``, the output over ``B`` and ``xs``
+      minus the target ``values``, whose negation the sum takes as a fifth
+      term: ``-(values - output)`` bit for bit, as rounding to nearest is
+      symmetric in sign, but for the sign of a zero or a NaN. Without
+      ``values`` that term is ``-0.0``, and the output keeps every bit.
 
     The closures hold the buffers, never the workspace, so a dropped
     workspace is freed at once, without the cyclic garbage collector.
     """
 
-    def __init__(self, shape: tuple[int, ...], xs, values=None) -> None:
+    def __init__(self, shape: tuple[int, ...], xs, values=0.0) -> None:
         self.xs = xs = np.asarray(xs, dtype=float)
         # every buffer spans s, the rows' batch axes B broadcast against the
         # input axes: each ufunc runs numpy's trivial loop on operands of one
@@ -196,28 +197,28 @@ class Workspace:
         theta, g = vec[:2], vec[2:].reshape((2, 2) + s)
         # H|0> = R(pi/2)|0>, composed into each rotation
         xq = np.broadcast_to(xs + math.pi / 2, theta.shape).copy()
-        half, p = np.empty(theta.shape), np.empty((2,) + theta.shape)
+        p = np.empty((2,) + theta.shape)
         p0, p1, first, second = p[0], p[1], p[:, 1, None], p[:, 0]
-        # the four terms, then -values if given, on one axis, summed into out in
-        # index order: as an outer axis term by term, as the only one (one output
-        # point) by numpy's pairwise inner loop, left to right below eight terms
-        summands = np.empty((4 if values is None else 5,) + s)
+        # the four terms, then -values, on one axis, summed into out in index
+        # order: as an outer axis term by term, as the only one (one output
+        # point) by numpy's pairwise inner loop, left to right below eight terms;
+        # a bare kernel's -0.0 adds nothing, as t + -0.0 is t for every double t
+        summands = np.empty((5,) + s)
         terms, ps = summands[:4].reshape(g.shape), np.empty(g.shape)
-        if values is not None:
-            summands[4] = np.negative(values)
+        summands[4] = np.negative(values)
         out = np.empty(s)
         # closure cells: a call then skips the global and attribute lookups
         subtract, multiply, add_reduce = np.subtract, np.multiply, np.add.reduce
         cos, sin, square = np.cos, np.sin, np.square
 
         def amplitudes(v):
-            # axis 0 of half is theta's index; cos and sin go into one buffer,
-            # the basis bit on axis 0 (a ufunc's last argument is its output)
+            # the half-angles overwrite the copied theta rows; cos and sin go into
+            # one buffer, basis bit on axis 0 (a ufunc's last argument is its output)
             rows[...] = v
-            subtract(xq, theta, half)
-            multiply(half, _HALF, half)
-            cos(half, p0)
-            sin(half, p1)
+            subtract(xq, theta, theta)
+            multiply(theta, _HALF, theta)
+            cos(theta, p0)
+            sin(theta, p1)
             return p
 
         def expectation(v):

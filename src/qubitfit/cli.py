@@ -81,15 +81,17 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(path: str | None) -> dict:
     """The config file's values, each cast by its option's type."""
     if path is None:
-        if not Path(CONFIG_NAME).is_file():
+        # only an absent name is skipped: a directory, a dangling link or an
+        # unreadable file by that name is an error, as it would be by --config
+        if not os.path.lexists(CONFIG_NAME):
             return {}
         path = CONFIG_NAME
     else:
         _reject_nul(path, "bad config file")
-        if not Path(path).is_file():
-            raise CliError(f"config file not found: {path}")
     try:
         config = read_config(path)
+    except OSError as exc:
+        raise CliError(f"cannot read config file {path}: {exc}") from exc
     except ParamsFileError as exc:
         raise CliError(f"bad config file {path}: {exc}") from exc
     unknown = sorted(set(config) - set(OPTIONS))

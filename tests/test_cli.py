@@ -1,4 +1,6 @@
 import codecs
+import errno
+import os
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 import qubitfit
 import qubitfit.cli as cli_mod
+import qubitfit.fileio as fileio_mod
 import qubitfit.verify as verify_mod
 from qubitfit import (
     OptimizerConfig,
@@ -263,6 +266,35 @@ def test_a_file_that_is_not_utf8_is_a_usage_error(argv, name, kind, tmp_path, mo
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: bad {kind} file {name}: not UTF-8 text (invalid start byte)\n")
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+@pytest.mark.parametrize("found", [False, True], ids=["flag", "found"])
+@pytest.mark.parametrize("case", ["missing", "directory", "unreadable"])
+def test_a_config_file_that_cannot_be_read_is_one_error_line_naming_it(
+    case, found, tmp_path, monkeypatch, capsys
+):
+    # an unreadable one once escaped main as a traceback, and a directory given
+    # to --config read "config file not found"; found in the working directory,
+    # a missing config is a link to no file, as an absent name is skipped
+    monkeypatch.chdir(tmp_path)
+    name = "qubitfit.conf" if found else "c.conf"
+    if case == "missing" and found:
+        os.symlink("nowhere.conf", name)
+    elif case == "directory":
+        os.mkdir(name)
+    elif case == "unreadable":
+        # chmod would not stop a reader running as root
+        Path(name).write_text("trials=5\n", encoding="utf-8")
+
+        def deny(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+
+        monkeypatch.setattr(fileio_mod, "_read_text", deny)
+    argv = ["verify", "--trials", "5"] + ([] if found else ["--config", name])
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read config file {name}: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("name, text, argv, read", [

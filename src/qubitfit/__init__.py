@@ -30,7 +30,6 @@ from .fileio import (
     write_params_file,
 )
 from .objective import (
-    SampleGrid,
     TargetFunction,
     get_target,
     make_grid,
@@ -52,7 +51,6 @@ __all__ = [
     "cubic_coefficients",
     "cubic_remainder",
     "TargetFunction",
-    "SampleGrid",
     "get_target",
     "polynomial_target",
     "make_grid",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitParams, Workspace
-from .objective import SampleGrid, TargetFunction, max_pointwise_error, performance_index
+from .objective import TargetFunction, max_pointwise_error, performance_index
 
 N_DIM = 6
 # rows of standard normals drawn at once for the proposals of one restart
@@ -45,7 +45,8 @@ FAIL_STREAK = 50
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search budget and seed, each an integer (``int`` or ``np.integer``).
+    """Search budget and seed, each an integer (``int`` or ``np.integer``);
+    the defaults are the paper's, which ``reproduce`` and the CLI read from here.
 
     Restart r runs on seed ``seed + r``; its starting point is the first
     :func:`random_vector` draw of ``np.random.default_rng(seed + r)``.
@@ -94,7 +95,7 @@ def random_vector(rng: np.random.Generator) -> np.ndarray:
 
 def _run_restart(
     target: TargetFunction,
-    grid: SampleGrid,
+    grid: np.ndarray,
     workspace: Workspace,
     cfg: OptimizerConfig,
     restart_seed: int,
@@ -155,8 +156,8 @@ def _run_restart(
     return point, current, trace
 
 
-def optimize(target: TargetFunction, grid: SampleGrid, cfg: OptimizerConfig) -> FitResult:
-    """Minimize the performance index; returns the best restart's outcome.
+def optimize(target: TargetFunction, grid: np.ndarray, cfg: OptimizerConfig) -> FitResult:
+    """Minimize the index over the points ``grid`` (as float64); returns the best restart's outcome.
 
     Restarts run one after another, restart r on seed ``cfg.seed + r``;
     the merge picks the lowest final index with ties broken by lowest
@@ -165,12 +166,13 @@ def optimize(target: TargetFunction, grid: SampleGrid, cfg: OptimizerConfig) -> 
     # one evaluation of the target serves every evaluation of the index; a
     # target that is not finite there, or whose squares overflow, gives every
     # start a non-finite index, so it is rejected by name before any restart
-    values = target.fn(grid.points)
+    grid = np.asarray(grid, dtype=float)
+    values = target.fn(grid)
     if not math.isfinite(np.dot(values, values)):
         raise ValueError(
-            f"target {target.id!r} overflows the performance index on the grid with x0={grid.x0}"
+            f"target {target.id!r} overflows the performance index on the grid with x0={grid[-1]}"
         )
-    workspace = Workspace((N_DIM,), grid.points, values)
+    workspace = Workspace((N_DIM,), grid, values)
     seed = operator.index(cfg.seed)  # a Python int: a numpy integer wraps at seed + r
     runs = [_run_restart(target, grid, workspace, cfg, seed + r) for r in range(cfg.restarts)]
 

@@ -36,14 +36,7 @@ from .fileio import (
     write_trace_csv,
 )
 from .objective import TARGET_IDS, get_target, make_grid, max_pointwise_error, performance_index
-from .reproduce import (
-    DEFAULT_ITERATIONS,
-    DEFAULT_N,
-    DEFAULT_RESTARTS,
-    DEFAULT_X0,
-    run_reproduction,
-    write_comparison_plot,
-)
+from .reproduce import DEFAULT_N, DEFAULT_X0, run_reproduction, write_comparison_plot
 from .svgplot import write_line_plot  # noqa: F401  (traced by perfbench/spans.py)
 from .verify import run_suites
 
@@ -55,9 +48,9 @@ SEED_ENV = "QUBITFIT_SEED"
 OPTIONS = {
     "n": (int, DEFAULT_N, "number of grid samples (default {})"),
     "x0": (float, DEFAULT_X0, "half-width of the sample interval (default {})"),
-    "iterations": (int, DEFAULT_ITERATIONS, "optimizer iterations per restart (default {})"),
-    "restarts": (int, DEFAULT_RESTARTS, "independent restarts (default {})"),
-    "seed": (int, 42, f"master RNG seed (default ${SEED_ENV} or {{}})"),
+    "iterations": (int, OptimizerConfig.iterations, "optimizer iterations per restart (default {})"),
+    "restarts": (int, OptimizerConfig.restarts, "independent restarts (default {})"),
+    "seed": (int, OptimizerConfig.seed, f"master RNG seed (default ${SEED_ENV} or {{}})"),
     "trials": (int, 1000, "number of random draws (default {})"),
     "out_dir": (Path, Path("."), "output directory"),
 }
@@ -189,8 +182,7 @@ def _load_params(path: str):
 
 def _write_run(out: Path, target, grid, params) -> None:
     """Write ``<target id>_run.csv`` in ``out``: the target and the circuit over the grid."""
-    write_run_csv(out / f"{target.id}_run.csv", grid.points, target.fn(grid.points),
-                  circuit_expectation_grid(params, grid.points))
+    write_run_csv(out / f"{target.id}_run.csv", grid, target.fn(grid), circuit_expectation_grid(params, grid))
 
 
 def cmd_fit(args) -> int:

@@ -51,38 +51,36 @@ def get_target(target_id: str, poly: Sequence[float] | None = None) -> TargetFun
     raise ValueError(f"unknown target {target_id!r}; expected one of {TARGET_IDS}")
 
 
-@dataclass(frozen=True)
-class SampleGrid:
-    """Uniform, endpoint-inclusive sample points on [-x0, x0]."""
-
-    points: np.ndarray
-    x0: float
-
-
-def make_grid(n: int, x0: float) -> SampleGrid:
-    """n uniformly spaced points from -x0 to +x0 inclusive; ``n`` must be an integer."""
+def make_grid(n: int, x0: float) -> np.ndarray:
+    """The read-only float64 array of n uniformly spaced points from -x0 to +x0
+    inclusive; ``n`` must be an integer and ``x0`` a real number, taken as a float."""
     try:
         n = operator.index(n)
     except TypeError:
         raise ValueError(f"grid point count n must be an integer, got n={n!r}") from None
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got n={n}")
-    if not (isinstance(x0, numbers.Real) and math.isfinite(x0) and x0 > 0):
+    # as a float, since linspace builds points of x0's type; a huge int is not finite
+    try:
+        half = float(x0) if isinstance(x0, numbers.Real) else math.nan
+    except OverflowError:
+        half = math.inf
+    if not (math.isfinite(half) and half > 0):
         raise ValueError(f"grid half-width must be positive and finite, got x0={x0!r}")
     # linspace steps by the span 2*x0 / (n - 1) and scales its steps back
     # up; past about 8.99e307 that overflows and the points come out NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        points = np.linspace(-x0, x0, n)
+        points = np.linspace(-half, half, n)
     if not np.isfinite(points).all():
         raise ValueError(f"grid span 2*x0 must not overflow, got x0={x0}")
     points.setflags(write=False)
-    return SampleGrid(points=points, x0=float(x0))
+    return points
 
 
 def performance_index(
     params: CircuitParams | np.ndarray,
     target: TargetFunction,
-    grid: SampleGrid,
+    grid: np.ndarray,
     workspace: Workspace | None = None,
 ) -> float:
     """Sum of squared residuals between target and circuit output over the grid.
@@ -90,23 +88,26 @@ def performance_index(
     ``params`` may be the raw vector ``[theta1, theta2, g0..g3]``, which is
     not validated: a non-finite entry gives a non-finite index.
     ``workspace``, a :class:`~qubitfit.circuit.Workspace`
-    ``((6,), grid.points, values)`` for the target's ``values``, comes
+    ``((6,), grid, values)`` for the target's ``values``, comes
     from a caller that evaluates the index many times on ``grid``, as the
     optimizer does: one check that ``params`` is a ``(6,)`` ``ndarray``
-    and ``grid`` the workspace's, then one call of its ``expectation``,
-    which allocates nothing and returns the residual, and the residual's
-    dot product with itself, whose sign reaches no product ``r_i * r_i``.
-    Without it, the call builds its own.
+    and ``grid`` the workspace's own ``xs`` array, then one call of its
+    ``expectation``, which allocates nothing and returns the residual, and
+    the residual's dot product with itself, whose sign reaches no product
+    ``r_i * r_i``. Without it, the call takes ``grid`` as a float64 array
+    and builds its own.
     """
     if workspace is None:
-        params, workspace = _param_rows(params), Workspace((6,), grid.points, target.fn(grid.points))
-    if type(params) is np.ndarray and params.shape == (6,) and grid.points is workspace.xs:
+        grid = np.asarray(grid, dtype=float)
+        params, workspace = _param_rows(params), Workspace((6,), grid, target.fn(grid))
+    if type(params) is np.ndarray and params.shape == (6,) and grid is workspace.xs:
         r = workspace.expectation(params)
         return float(r.dot(r))  # np.dot without its dispatch
     raise ValueError("the index takes one raw row, an ndarray of shape (6,), at its workspace's grid points")
 
 
-def max_pointwise_error(params: CircuitParams, target: TargetFunction, grid: SampleGrid) -> float:
+def max_pointwise_error(params: CircuitParams, target: TargetFunction, grid: np.ndarray) -> float:
     """Worst absolute residual over the grid; its square never exceeds the index."""
-    r = target.fn(grid.points) - circuit_expectation_grid(params, grid.points)
+    grid = np.asarray(grid, dtype=float)
+    r = target.fn(grid) - circuit_expectation_grid(params, grid)
     return float(np.max(np.abs(r)))

@@ -39,8 +39,8 @@ RETRAINED_THRESHOLD = {"quadratic": 0.05, "gaussian": 0.02, "sigmoid": 0.02}
 
 DEFAULT_N = 30
 DEFAULT_X0 = 1.5
-DEFAULT_ITERATIONS = 5000
-DEFAULT_RESTARTS = 10
+DEFAULT_ITERATIONS = OptimizerConfig.iterations
+DEFAULT_RESTARTS = OptimizerConfig.restarts
 PLOT_POINTS = 200
 
 
@@ -114,7 +114,7 @@ def _markdown_table(rows: tuple[ReportRow, ...]) -> str:
 
 def run_reproduction(
     out_dir: str | Path,
-    seed: int = 42,
+    seed: int = OptimizerConfig.seed,
     iterations: int = DEFAULT_ITERATIONS,
     restarts: int = DEFAULT_RESTARTS,
 ) -> ReproductionReport:

@@ -74,12 +74,14 @@ def test_random_vector_equals_uniform_calls_and_consumes_the_same_stream(seed):
     assert rng.normal(0.0, 0.3, 6).tobytes() == oracle_rng.normal(0.0, 0.3, 6).tobytes()
 
 
-def oracle_restart(index, cfg, r, init=None):
-    """The oracle's restart r under the module's step-size law, from ``init`` or a fresh draw."""
+def oracle_restart(index, cfg, r, init=None, law=None):
+    """The oracle's restart r under the step-size ``law`` (the module's by
+    default), from ``init`` or a fresh draw."""
     rng = np.random.default_rng(cfg.seed + r)
     start = init.as_vector() if init is not None else uniform_vector(rng)
-    return chemotaxis_restart(index, start, rng, cfg.iterations, chemotaxis_mod.SIGMA0,
-                              chemotaxis_mod.SIGMA_SHRINK, chemotaxis_mod.FAIL_STREAK)
+    if law is None:
+        law = (chemotaxis_mod.SIGMA0, chemotaxis_mod.SIGMA_SHRINK, chemotaxis_mod.FAIL_STREAK)
+    return chemotaxis_restart(index, start, rng, cfg.iterations, *law)
 
 
 def assert_optimize_equals_oracle(target, grid, cfg, init=None):
@@ -96,8 +98,9 @@ def assert_optimize_equals_oracle(target, grid, cfg, init=None):
 
 # 255-257 straddle the optimizer's block of normals; at a step scale of
 # 1e308 every candidate overflows and is rejected, so every iteration draws
-# a fresh step
-@pytest.mark.parametrize("sigma0", [0.3, 1e308])
+# a fresh step; at 1e-300 every candidate rounds to its point, and an equal
+# index is a rejection too
+@pytest.mark.parametrize("sigma0", [0.3, 1e308, 1e-300])
 @pytest.mark.parametrize("iterations", [0, 1, 255, 256, 257, 1200])
 def test_steps_follow_the_normal_law_across_blocks(iterations, sigma0, monkeypatch):
     monkeypatch.setattr(chemotaxis_mod, "SIGMA0", sigma0)
@@ -123,6 +126,32 @@ def test_steps_follow_the_normal_law_for_any_seed(seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chemotaxis_mod, "FAIL_STREAK", 10)
         assert_optimize_equals_oracle(get_target("quadratic"), make_grid(30, 1.5), cfg)
+
+
+def test_the_step_law_is_the_documented_one(monkeypatch):
+    # scale 0.3, times 0.7 after 50 rejections in a row counted from the
+    # start: from this near-optimal start nothing is accepted before the
+    # fourth shrink, and every candidate is the oracle's under that law
+    pstar = CircuitParams(0.4, -0.7, np.array([0.5, -1.2, 1.8, -0.3]))
+    target = TargetFunction("selffit", lambda x: circuit_expectation_grid(pstar, x))
+    grid = make_grid(30, 1.5)
+    init = CircuitParams.from_vector(pstar.as_vector() + 0.01)
+    start_at(monkeypatch, init)
+    cfg = OptimizerConfig(iterations=400, restarts=1, seed=7)
+    real, calls, oracle_calls = chemotaxis_mod.performance_index, [], []
+
+    def counted(params, *args):
+        calls.append(params.tobytes())
+        return real(params, *args)
+
+    def index(v):
+        oracle_calls.append(v.tobytes())
+        return performance_index(v, target, grid)
+
+    monkeypatch.setattr(chemotaxis_mod, "performance_index", counted)
+    result = optimize(target, grid, cfg)
+    oracle_restart(index, cfg, 0, init, law=(0.3, 0.7, 50))
+    assert calls == oracle_calls and result.j_trace[1][0] > 200
 
 
 def test_one_index_call_per_evaluation_across_blocks_accepts_and_shrinks(monkeypatch):
@@ -267,10 +296,16 @@ def test_self_fit_recovers_known_optimum(monkeypatch):
     assert result.j_final <= 1e-3
 
 
-def test_nonfinite_start_raises():
+def test_nonfinite_start_raises(monkeypatch):
+    # a target that overflows the index is rejected by name before any restart
     bad = TargetFunction("bad", lambda x: np.full(np.shape(x), np.inf))
-    with pytest.raises(ValueError):
-        optimize(bad, make_grid(5, 1.0), OptimizerConfig(iterations=1, restarts=1, seed=0))
+    cfg = OptimizerConfig(iterations=1, restarts=1, seed=0)
+    with pytest.raises(ValueError, match=r"^target 'bad' overflows the performance index on the grid with x0=1\.0$"):
+        optimize(bad, make_grid(5, 1.0), cfg)
+    # and a finite target at a start whose index is not finite
+    monkeypatch.setattr(chemotaxis_mod, "random_vector", lambda rng: np.full(6, np.nan))
+    with pytest.raises(ValueError, match=r"^performance index is not finite at the starting point$"):
+        optimize(get_target("quadratic"), make_grid(5, 1.0), cfg)
 
 
 def test_overflowing_candidates_are_ordinary_rejections(monkeypatch):
@@ -328,8 +363,8 @@ def test_the_certified_optimum_rescores_to_its_j(target_id, j_star, reproduction
     # run at seed 42 stays at or above it
     grid = make_grid(30, 1.5)
     target = get_target(target_id)
-    values = target.fn(grid.points)
-    got, params, cond = fourier_optimum(values, grid.points)
+    values = target.fn(grid)
+    got, params, cond = fourier_optimum(values, grid)
     assert math.isclose(got, j_star, rel_tol=1e-6)
     assert 23.8 < cond < 23.9
     slack = certified_slack(values, cond, params.g)
@@ -358,8 +393,8 @@ def test_no_run_beats_the_certified_optimum(target, seed, n, x0, iterations, res
     # residual norms, not their squares, carry rounding of a fixed size, so
     # J* near 0 needs no tolerance of its own
     grid = make_grid(n, x0)
-    values = target.fn(grid.points)
-    j_star, params, cond = fourier_optimum(values, grid.points)
+    values = target.fn(grid)
+    j_star, params, cond = fourier_optimum(values, grid)
     result = optimize(target, grid, OptimizerConfig(iterations=iterations, restarts=restarts, seed=seed))
     slack = certified_slack(values, cond, params.g, result.best.g)
     assert math.sqrt(result.j_final) >= math.sqrt(j_star) - slack, (result.j_final, j_star, cond)

@@ -242,16 +242,16 @@ def test_a_workspace_carries_nothing_from_one_row_to_the_next():
     # bits of a fresh call, and the per-qubit arithmetic's values, NaN in
     # the same places
     grid = make_grid(30, 1.5)
-    ws = Workspace((6,), grid.points)
-    assert ws.xs is grid.points
+    ws = Workspace((6,), grid)
+    assert ws.xs is grid
     rows = workspace_rows()
     out = ws.expectation(rows[0])
     with np.errstate(all="ignore"):
         for v in rows:
             got = ws.expectation(v)
             assert got is out
-            assert got.tobytes() == circuit_expectation_grid(v, grid.points).tobytes()
-            assert np.array_equal(got, per_qubit_grid(v[0], v[1], v[2:], grid.points), equal_nan=True)
+            assert got.tobytes() == circuit_expectation_grid(v, grid).tobytes()
+            assert np.array_equal(got, per_qubit_grid(v[0], v[1], v[2:], grid), equal_nan=True)
 
 
 def test_a_batch_workspace_evaluates_each_row_as_a_fresh_call():
@@ -259,18 +259,18 @@ def test_a_batch_workspace_evaluates_each_row_as_a_fresh_call():
     # index on a target-bound workspace: tests/test_objective.py)
     grid = make_grid(30, 1.5)
     v = np.array([0.4, -0.7, 0.5, -1.2, 1.8, -0.3])
-    batch = Workspace((2, 6), grid.points[:, None])
+    batch = Workspace((2, 6), grid[:, None])
     got = batch.expectation(np.stack([v, -v]))
     assert got.shape == (30, 2)
-    assert got[:, 0].tobytes() == circuit_expectation_grid(v, grid.points).tobytes()
-    assert got[:, 1].tobytes() == circuit_expectation_grid(-v, grid.points).tobytes()
+    assert got[:, 0].tobytes() == circuit_expectation_grid(v, grid).tobytes()
+    assert got[:, 1].tobytes() == circuit_expectation_grid(-v, grid).tobytes()
     assert batch.expectation(np.stack([-v, v])) is got  # the workspace's one output buffer
     # given target values, a fifth term -values: each row's output - values is
     # -(values - output) bit for bit, over a grid and at one input
-    values = np.square(grid.points)
-    residual = Workspace((2, 1, 6), grid.points, values).expectation(np.stack([v, -v])[:, None, :])
+    values = np.square(grid)
+    residual = Workspace((2, 1, 6), grid, values).expectation(np.stack([v, -v])[:, None, :])
     for row, got in zip((v, -v), residual):
-        assert got.tobytes() == (-(values - circuit_expectation_grid(row, grid.points))).tobytes()
+        assert got.tobytes() == (-(values - circuit_expectation_grid(row, grid))).tobytes()
     got = Workspace((6,), 0.7, 0.49).expectation(v)
     assert got.tobytes() == np.float64(-(0.49 - circuit_expectation(v, 0.7))).tobytes()
 
@@ -281,7 +281,7 @@ def test_the_four_terms_are_summed_in_index_order():
     # scalar input (one row, the sum's only axis), over a grid and over a
     # (T, 1, 6) batch
     rng = np.random.default_rng(20)
-    grid = make_grid(30, 1.5).points
+    grid = make_grid(30, 1.5)
     rows = np.concatenate([rng.uniform(-np.pi, np.pi, (500, 2)), rng.uniform(-2.0, 2.0, (500, 4))], axis=1)
     t = per_qubit_terms(rows[:, :1], rows[:, 1:2], rows[:, 2:, None].transpose(1, 0, 2), grid)
     split = ((t[0] + t[1]) + t[2]) + t[3] != t[0] + ((t[1] + t[2]) + t[3])

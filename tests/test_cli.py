@@ -1,5 +1,6 @@
 import codecs
 import errno
+import inspect
 import os
 import warnings
 import xml.etree.ElementTree as ET
@@ -20,6 +21,7 @@ from qubitfit import (
     performance_index,
     published_params,
     read_params_file,
+    run_reproduction,
     write_params_file,
 )
 from qubitfit.cli import main
@@ -614,6 +616,18 @@ def test_each_option_resolves_flag_then_config_then_default(command, name, defau
     (tmp_path / "qubitfit.conf").write_text(f"{name}={config_value}\n", encoding="utf-8")
     assert run() == read(config_value)
     assert run(*flag) == read(flag_value)
+
+
+def test_the_paper_budget_and_seed_are_declared_once_by_the_optimizer_config(resolved):
+    # fit, reproduce and run_reproduction all default to OptimizerConfig's fields
+    cfg = OptimizerConfig()
+    want = {"iterations": cfg.iterations, "restarts": cfg.restarts, "seed": cfg.seed}
+    for command in ("fit", "reproduce"):
+        resolved.clear()
+        assert main(SUBCOMMANDS[command]) == 0
+        assert {name: resolved[name] for name in want} == want
+    defaults = inspect.signature(run_reproduction).parameters
+    assert {name: defaults[name].default for name in want} == want
 
 
 @pytest.mark.parametrize("command", ["fit", "verify", "reproduce"])

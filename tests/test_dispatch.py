@@ -50,11 +50,11 @@ def digest(arrays):
     return h.hexdigest()
 
 grid = make_grid(30, 1.5)
-ws = Workspace((6,), grid.points)
+ws = Workspace((6,), grid)
 rng = np.random.default_rng(2024)
 rows = np.concatenate([rng.uniform(-np.pi, np.pi, (2000, 2)), rng.uniform(-2.0, 2.0, (2000, 4))], axis=1)
 quadratic = get_target("quadratic")
-bound = Workspace((6,), grid.points, quadratic.fn(grid.points))
+bound = Workspace((6,), grid, quadratic.fn(grid))
 with np.errstate(all="ignore"):
     special = [ws.expectation(v).copy() for v in workspace_rows()]
     index = [performance_index(v, quadratic, grid, bound) for v in np.concatenate([workspace_rows(), rows])]
@@ -65,7 +65,7 @@ print(json.dumps({
     # each output is the workspace's buffer, so it is hashed before the next row overwrites it
     "random_rows": digest(ws.expectation(v) for v in rows),
     "index": digest([index]),
-    "random_batch": digest([circuit_expectation_grid(rows[:, None, :], grid.points)]),
+    "random_batch": digest([circuit_expectation_grid(rows[:, None, :], grid)]),
     "state": digest([prepare_state(rows, rng.uniform(-4.0, 4.0, 2000))]),
     "fit": digest([fit.best.as_vector(), [fit.j_final, fit.max_error, fit.evals],
                    [v for step in fit.j_trace for v in step]]),

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from qubitfit import (
     performance_index,
     polynomial_target,
 )
+from qubitfit.chemotaxis import OptimizerConfig, optimize
 from qubitfit.circuit import Workspace
-from qubitfit.objective import SampleGrid
 
 from conftest import random_params, workspace_rows
 from oracles import sum_of_squares_index
@@ -64,14 +65,13 @@ def test_polynomial_target_matches_quadratic():
 
 def test_grid_is_uniform_and_inclusive():
     grid = make_grid(30, 1.5)
-    assert grid.points.size == 30
-    assert grid.x0 == 1.5
-    assert grid.points[0] == -1.5
-    assert grid.points[-1] == 1.5
-    assert np.allclose(np.diff(grid.points), 3.0 / 29.0, atol=1e-15)
+    assert grid.dtype == np.float64 and grid.shape == (30,)
+    assert grid[0] == -1.5
+    assert grid[-1] == 1.5
+    assert np.allclose(np.diff(grid), 3.0 / 29.0, atol=1e-15)
 
     tiny = make_grid(2, 0.5)
-    assert np.array_equal(tiny.points, np.array([-0.5, 0.5]))
+    assert np.array_equal(tiny, np.array([-0.5, 0.5]))
 
 
 def test_grid_validation():
@@ -83,18 +83,52 @@ def test_grid_validation():
         make_grid(30, -1.0)
     with pytest.raises(ValueError):
         make_grid(30, math.inf)
-    # a non-number half-width is rejected by name, not passed on to math
-    for x0 in ("1.5", None, 1 + 0j):
+    # a non-number half-width, or a real one whose float is not positive and
+    # finite, is rejected by name, not passed on to math or linspace
+    for x0 in ("1.5", None, 1 + 0j, 10**400, Fraction(10**400), np.longdouble("1e-4000")):
         with pytest.raises(ValueError, match=r"^grid half-width must be positive and finite, got x0="):
             make_grid(30, x0)
-    for x0 in (2, 1.5, np.float32(1.5)):
-        assert make_grid(30, x0).x0 == float(x0)
     # a float point count is rejected by name, not passed on to linspace
     for n in (30.0, 2.5, "30", None):
         with pytest.raises(ValueError, match=r"^grid point count n must be an integer, got n="):
             make_grid(n, 1.5)
     grid = make_grid(np.int64(30), 1.5)
-    assert grid.points.tobytes() == make_grid(30, 1.5).points.tobytes()
+    assert grid.tobytes() == make_grid(30, 1.5).tobytes()
+
+
+@pytest.mark.parametrize(
+    "x0", [2, np.float16(1.1), np.float32(1.1), np.longdouble("1.1"), Fraction(11, 10)], ids=repr,
+)
+def test_a_real_half_width_of_any_type_gives_the_grid_of_its_float(x0):
+    # linspace would build points of x0's own type, which no workspace shares
+    grid = make_grid(30, x0)
+    assert grid.dtype == np.float64 and not grid.flags.writeable
+    assert (grid[0], grid[-1]) == (-float(x0), float(x0))
+    same = make_grid(30, float(x0))
+    assert grid.tobytes() == same.tobytes()
+    target = get_target("gaussian")
+    v = np.array([0.4, -0.7, 0.5, -1.2, 1.8, -0.3])
+    assert performance_index(v, target, grid) == performance_index(v, target, same)
+    cfg = OptimizerConfig(iterations=5, restarts=2, seed=3)
+    fit, want = optimize(target, grid, cfg), optimize(target, same, cfg)
+    assert fit == want and fit.best.as_vector().tobytes() == want.best.as_vector().tobytes()
+
+
+def test_the_same_points_in_any_array_like_are_the_same_grid():
+    # optimize and the index without a workspace take np.asarray(grid, dtype=float)
+    grid = make_grid(30, 1.5)
+    target = get_target("sigmoid")
+    params = CircuitParams(0.4, -0.7, np.array([0.5, -1.2, 1.8, -0.3]))
+    cfg = OptimizerConfig(iterations=5, restarts=2, seed=3)
+
+    def outcome(g):
+        fit = optimize(target, g, cfg)
+        return (performance_index(params, target, g), max_pointwise_error(params, target, g),
+                fit, fit.best.as_vector().tobytes())
+
+    want = outcome(grid)
+    for other in (grid.tolist(), tuple(grid), grid.copy()):
+        assert outcome(other) == want
 
 
 def test_grid_span_must_not_overflow():
@@ -104,14 +138,14 @@ def test_grid_span_must_not_overflow():
             make_grid(30, x0)
     with np.errstate(all="raise"):
         grid = make_grid(30, 8.98e307)
-    assert (grid.points[0], grid.points[-1]) == (-8.98e307, 8.98e307)
-    assert np.isfinite(grid.points).all() and (np.diff(grid.points) > 0).all()
+    assert (grid[0], grid[-1]) == (-8.98e307, 8.98e307)
+    assert np.isfinite(grid).all() and (np.diff(grid) > 0).all()
 
 
 def test_grid_points_are_read_only():
     grid = make_grid(5, 1.0)
     with pytest.raises(ValueError):
-        grid.points[0] = 0.0
+        grid[0] = 0.0
 
 
 def test_index_against_hand_computed_sum():
@@ -120,7 +154,7 @@ def test_index_against_hand_computed_sum():
     params = CircuitParams(0.8, -0.4, np.ones(4))
     grid = make_grid(30, 1.5)
     expected = sum(
-        (math.exp(-x * x) - 1.0) ** 2 for x in grid.points
+        (math.exp(-x * x) - 1.0) ** 2 for x in grid
     )
     got = performance_index(params, get_target("gaussian"), grid)
     assert math.isclose(got, expected, rel_tol=1e-12)
@@ -138,7 +172,7 @@ def test_index_matches_bruteforce_loop():
     for _ in range(20):
         params = random_params(rng)
         got = performance_index(params, target, grid)
-        assert math.isclose(got, sum_of_squares_index(params, target.fn, grid.points), rel_tol=1e-12)
+        assert math.isclose(got, sum_of_squares_index(params, target.fn, grid), rel_tol=1e-12)
 
 
 def test_index_of_raw_vector_equals_index_of_params():
@@ -160,12 +194,12 @@ def test_index_with_precomputed_target_values_is_the_same_double():
     # arrays: read-only values and grid points stay as they were
     rng = np.random.default_rng(8)
     grid = make_grid(30, 1.5)
-    points = grid.points.tobytes()
+    points = grid.tobytes()
     for target in (get_target("gaussian"), get_target("sigmoid"), polynomial_target([1, -2, 0.5])):
-        values = target.fn(grid.points)
+        values = target.fn(grid)
         values.setflags(write=False)
         before = values.tobytes()
-        workspace = Workspace((6,), grid.points, values)
+        workspace = Workspace((6,), grid, values)
         for _ in range(20):
             p = random_params(rng)
             want = performance_index(p, target, grid)
@@ -175,7 +209,7 @@ def test_index_with_precomputed_target_values_is_the_same_double():
             with pytest.raises(ValueError):
                 performance_index(p, target, grid, workspace)
         assert values.tobytes() == before
-    assert grid.points.tobytes() == points
+    assert grid.tobytes() == points
 
 
 def test_a_target_bound_workspace_carries_nothing_from_one_row_to_the_next():
@@ -183,18 +217,18 @@ def test_a_target_bound_workspace_carries_nothing_from_one_row_to_the_next():
     # rows gives each row's own index and never writes the target values
     # or the grid points
     grid = make_grid(30, 1.5)
-    points = grid.points.tobytes()
+    points = grid.tobytes()
     target = get_target("sigmoid")
-    values = target.fn(grid.points)
+    values = target.fn(grid)
     before = values.tobytes()
-    workspace = Workspace((6,), grid.points, values)
+    workspace = Workspace((6,), grid, values)
     with np.errstate(all="ignore"):
         for v in workspace_rows():
             got = performance_index(v, target, grid, workspace)
             want = performance_index(v, target, grid)
             assert got == want or (math.isnan(got) and math.isnan(want)), (v, got, want)
     assert values.tobytes() == before
-    assert grid.points.tobytes() == points
+    assert grid.tobytes() == points
 
 
 def test_the_index_has_the_bytes_of_the_residual_sum_of_squares():
@@ -212,10 +246,10 @@ def test_the_index_has_the_bytes_of_the_residual_sum_of_squares():
     targets = [get_target(t) for t in ("quadratic", "gaussian", "sigmoid")]
     targets.append(polynomial_target([0.5, -1.0, 0.25, 0.3]))
     with np.errstate(all="ignore"):
-        outputs = [circuit_expectation_grid(v, grid.points) for v in rows]
+        outputs = [circuit_expectation_grid(v, grid) for v in rows]
         for target in targets:
-            values = target.fn(grid.points)
-            workspace = Workspace((6,), grid.points, values)
+            values = target.fn(grid)
+            workspace = Workspace((6,), grid, values)
             for v, out in zip(rows, outputs):
                 r = values - out
                 want = np.float64(r.dot(r)).tobytes()
@@ -232,7 +266,7 @@ def test_every_array_form_on_a_target_bound_workspace_has_the_bytes_of_a_fresh_c
     # array and is rejected, however good its values
     grid = make_grid(30, 1.5)
     target = get_target("gaussian")
-    workspace = Workspace((6,), grid.points, target.fn(grid.points))
+    workspace = Workspace((6,), grid, target.fn(grid))
     v = np.array([0.4, -0.7, 0.5, -1.2, 1.8, -0.3])
     read_only = v.copy()
     read_only.setflags(write=False)
@@ -257,7 +291,7 @@ def test_the_index_on_a_workspace_still_rejects_wrong_shapes_and_foreign_inputs(
     # its one check stands before the bound kernel, which checks nothing
     grid = make_grid(30, 1.5)
     target = get_target("sigmoid")
-    workspace = Workspace((6,), grid.points, target.fn(grid.points))
+    workspace = Workspace((6,), grid, target.fn(grid))
     v = np.ones(6)
     for bad in (np.ones(5), np.ones(7), np.ones((6, 2)), np.ones((2, 6)), np.ones((1, 6))):
         for extra in ((), (workspace,)):
@@ -266,7 +300,7 @@ def test_the_index_on_a_workspace_still_rejects_wrong_shapes_and_foreign_inputs(
     for bad in (v.tolist(), CircuitParams.from_vector(v)):
         with pytest.raises(ValueError):
             performance_index(bad, target, grid, workspace)
-    foreign = (make_grid(30, 1.5), SampleGrid(grid.points.copy(), grid.x0))
+    foreign = (make_grid(30, 1.5), grid.copy())
     for other in foreign:
         with pytest.raises(ValueError):
             performance_index(v, target, other, workspace)
@@ -281,9 +315,9 @@ def test_a_dropped_workspace_is_freed_at_once():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        ws = Workspace((6,), grid.points)
-        batch = Workspace((2, 6), grid.points[:, None])
-        bound = Workspace((6,), grid.points, target.fn(grid.points))
+        ws = Workspace((6,), grid)
+        batch = Workspace((2, 6), grid[:, None])
+        bound = Workspace((6,), grid, target.fn(grid))
         ws.expectation(v)
         batch.amplitudes(np.stack([v, -v]))
         performance_index(v, target, grid, bound)

@@ -7,13 +7,13 @@ keep it only if the index strictly improves. Steps have scale 0.3
 multiplied by 0.7 (``SIGMA_SHRINK``). Each restart starts at a random
 draw of its own seeded generator, so results are reproducible bit for bit.
 
-A fit builds one kernel :class:`~qubitfit.circuit.Workspace` that holds the
-target values, shared by its restarts, which run one after another: each
-evaluation is one ``performance_index`` call, which checks the candidate
-and runs it, overwriting every buffer it reads. Fresh
-proposals come from a block of normals, and the candidates for the rest
-of a block come from one add, made again after an accepted step or a
-shrink of the step scale.
+A fit builds one kernel :class:`~qubitfit.circuit.Workspace` for one row,
+batch shape ``()``, that holds the target values, shared by its restarts,
+which run one after another: each evaluation is one ``performance_index``
+call, which checks the candidate and runs it, overwriting every buffer it
+reads. Fresh proposals come from a block of normals, and the candidates
+for the rest of a block come from one add, made again after an accepted
+step or a shrink of the step scale.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def optimize(target: TargetFunction, grid: np.ndarray, cfg: OptimizerConfig) -> 
         raise ValueError(
             f"target {target.id!r} overflows the performance index on the grid with x0={grid[-1]}"
         )
-    workspace = Workspace((N_DIM,), grid, values)
+    workspace = Workspace((), grid, values)
     seed = operator.index(cfg.seed)  # a Python int: a numpy integer wraps at seed + r
     runs = [_run_restart(target, grid, workspace, cfg, seed + r) for r in range(cfg.restarts)]
 

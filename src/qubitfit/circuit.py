@@ -30,19 +30,19 @@ function here takes one row of shape ``(6,)`` or a batch of rows
 :func:`_param_rows` is the one shape check. One point keeps the scalar
 types (a ``float``, a :class:`StateVector`); a batch gives arrays.
 
-A :class:`Workspace`, built for a rows shape and an input array, binds the
-one kernel body over its own buffers. Its amplitude step computes the real
-amplitude pairs of both qubits in one stacked pass and feeds both the
-state (:func:`prepare_state`) and the output (the kernel
+A :class:`Workspace`, built for the batch shape ``B`` of its rows (``()``
+for one row) and an input array, binds the one kernel body over its own
+buffers. Its amplitude step computes the real amplitude pairs of both
+qubits in one stacked pass and feeds both the state
+(:func:`prepare_state`) and the output (the kernel
 :func:`circuit_expectation_grid`, of which :func:`circuit_expectation` is
 the float-typed form). Its eight ufunc calls each take operands of one
-shape and write through their output argument. A plain call builds its
-own workspace, so its output is a fresh array, which the caller may
-overwrite. A workspace sums its target values, negated, as a fifth term,
-so a workspace built with them returns the residual: the optimizer builds one
-per fit, which every restart passes to
-:func:`~qubitfit.objective.performance_index`, and that calls its bound
-kernel directly, which allocates nothing.
+shape and write through their output argument. A plain call builds its own
+workspace, so its output is a fresh array, which the caller may overwrite.
+A workspace sums its target values, negated, as a fifth term, so a
+workspace built with them returns the residual: the optimizer builds one
+per fit and passes it to :func:`~qubitfit.objective.performance_index`,
+which calls its bound kernel directly and allocates nothing.
 
 All functions here are pure and all values other than a
 :class:`Workspace` immutable after construction, so concurrent use needs
@@ -162,12 +162,12 @@ def _columns(a: np.ndarray) -> np.ndarray:
 
 
 class Workspace:
-    """The kernel bound to its buffers, for one rows shape and one input array.
+    """The kernel bound to its buffers, for one batch shape and one input array.
 
-    Built once for raw rows of shape ``(6,)`` or ``(*B, 6)`` and the inputs
-    ``xs`` (kept, as a float array, in ``xs``), it binds the kernel body
-    over its buffers as two closures. Each takes an array ``v`` of the
-    workspace's shape, unchecked, copies it into a float buffer and
+    Built once for the batch shape ``B`` of raw rows ``(*B, 6)`` (``()`` for
+    one row) and the inputs ``xs``, kept as a float array, it binds the
+    kernel body over its buffers as two closures. Each takes rows ``v`` of
+    shape ``(*B, 6)``, unchecked, copies them into a float buffer and
     overwrites every buffer it reads, so no value of a call reaches the next:
 
     - ``amplitudes(v)`` returns ``p``, with ``p[b, k]`` the unsquared
@@ -183,12 +183,12 @@ class Workspace:
     workspace is freed at once, without the cyclic garbage collector.
     """
 
-    def __init__(self, shape: tuple[int, ...], xs, values=0.0) -> None:
+    def __init__(self, batch: tuple[int, ...], xs, values=0.0) -> None:
         self.xs = xs = np.asarray(xs, dtype=float)
-        # every buffer spans s, the rows' batch axes B broadcast against the
-        # input axes: each ufunc runs numpy's trivial loop on operands of one
-        # shape, and only the copies (setitem, far cheaper) broadcast
-        s = np.broadcast_shapes(tuple(shape)[:-1], xs.shape)
+        # every buffer spans s, the batch axes broadcast against the input
+        # axes: each ufunc runs numpy's trivial loop on operands of one shape,
+        # and only the copies (setitem, far cheaper) broadcast
+        s = np.broadcast_shapes(batch, xs.shape)
         # the rows are copied into vec, one parameter per slice of axis 0,
         # through its transposed view rows; the kernel reads vec as
         # (theta1, theta2) and as g with its (b_first, b_second) axes in front
@@ -248,7 +248,7 @@ def prepare_state(params: CircuitParams | np.ndarray, x):
     can measure how far each is from unit norm.
     """
     v = _param_rows(params)
-    p = Workspace(v.shape, x).amplitudes(v)
+    p = Workspace(v.shape[:-1], x).amplitudes(v)
     # amplitude index 2*i + j: basis bit i of the first slot, j of the second
     amp = np.stack([p[i, 1] * p[j, 0] for i in (0, 1) for j in (0, 1)], axis=-1)
     return StateVector(amp) if amp.ndim == 1 else amp
@@ -283,5 +283,5 @@ def circuit_expectation_grid(params: CircuitParams | np.ndarray, xs: np.ndarray)
     closed-form shortcut.
     """
     v = _param_rows(params)
-    out = Workspace(v.shape, xs).expectation(v)
+    out = Workspace(v.shape[:-1], xs).expectation(v)
     return out if out.ndim else out[()]

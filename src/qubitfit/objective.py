@@ -87,8 +87,8 @@ def performance_index(
 
     ``params`` may be the raw vector ``[theta1, theta2, g0..g3]``, which is
     not validated: a non-finite entry gives a non-finite index.
-    ``workspace``, a :class:`~qubitfit.circuit.Workspace`
-    ``((6,), grid, values)`` for the target's ``values``, comes
+    ``workspace``, a one-row :class:`~qubitfit.circuit.Workspace`
+    ``((), grid, values)`` for the target's ``values``, comes
     from a caller that evaluates the index many times on ``grid``, as the
     optimizer does: one check that ``params`` is a ``(6,)`` ``ndarray``
     and ``grid`` the workspace's own ``xs`` array, then one call of its
@@ -99,7 +99,7 @@ def performance_index(
     """
     if workspace is None:
         grid = np.asarray(grid, dtype=float)
-        params, workspace = _param_rows(params), Workspace((6,), grid, target.fn(grid))
+        params, workspace = _param_rows(params), Workspace((), grid, target.fn(grid))
     if type(params) is np.ndarray and params.shape == (6,) and grid is workspace.xs:
         r = workspace.expectation(params)
         return float(r.dot(r))  # np.dot without its dispatch

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubitfit import (
@@ -229,6 +229,9 @@ def _single_point_outputs(v, x) -> dict:
     return outs[0]
 
 
+# one example calls six functions on each of up to 8 x 8 (row, input) pairs;
+# under CPU load it overran hypothesis's default 200 ms deadline
+@settings(deadline=None)
 @given(points)
 def test_batched_rows_equal_single_point_calls(points):
     # each row of a batch must equal the single-point call bit for bit, in

@@ -224,25 +224,59 @@ def test_optimize_evaluates_the_target_once():
     assert (result.j_final, result.j_trace, result.best) == (plain.j_final, plain.j_trace, plain.best)
 
 
-def test_every_restart_of_a_fit_evaluates_on_its_one_workspace(monkeypatch):
-    # restarts run one after another and each kernel call overwrites every
-    # buffer it reads, so one target-bound workspace serves them all
-    real = chemotaxis_mod.Workspace
-    built, used = [], set()
+CONTRACT_TARGETS = [get_target(t) for t in ("quadratic", "gaussian", "sigmoid")]
+CONTRACT_TARGETS.append(polynomial_target([0.2, -0.5, 0.3, 0.4]))
 
-    def counted_workspace(*args):
-        built.append(real(*args))
-        return built[-1]
 
-    def recorded(params, target, grid, workspace):
-        used.add(id(workspace))
-        return performance_index(params, target, grid, workspace)
+@pytest.mark.parametrize("n, x0", [(30, 1.5), (7, 0.5)])
+@pytest.mark.parametrize("target", CONTRACT_TARGETS, ids=lambda t: t.id)
+def test_every_evaluation_is_one_index_call_on_one_workspace(target, n, x0, monkeypatch):
+    # the evaluation contract: a fit builds one workspace, and each of its
+    # restarts * (iterations + 1) evaluations is one index call whose one
+    # row reaches that workspace and whose J has the bytes of the residual
+    # sum of squares; the trace reads one restart's records
+    grid = make_grid(n, x0)
+    values = target.fn(grid)
+    real_workspace, real_index = chemotaxis_mod.Workspace, chemotaxis_mod.performance_index
+    built, rows, calls = [], [], []
 
-    monkeypatch.setattr(chemotaxis_mod, "Workspace", counted_workspace)
-    monkeypatch.setattr(chemotaxis_mod, "performance_index", recorded)
-    result = optimize(get_target("gaussian"), make_grid(30, 1.5), small_cfg(restarts=3))
-    assert len(built) == 1 and used == {id(built[0])}
-    assert result.evals == 3 * (300 + 1)
+    def recording_workspace(*args):
+        ws = real_workspace(*args)
+        expectation = ws.expectation
+
+        def recorded(v):
+            rows.append(np.array(v, dtype=float).reshape(-1, 6))
+            return expectation(v)
+
+        ws.expectation = recorded
+        built.append(ws)
+        return ws
+
+    def recording_index(params, *args):
+        value = real_index(params, *args)
+        calls.append((params.copy(), value, args[-1]))
+        return value
+
+    monkeypatch.setattr(chemotaxis_mod, "Workspace", recording_workspace)
+    monkeypatch.setattr(chemotaxis_mod, "performance_index", recording_index)
+    for iterations in (0, 1, 49, 50, 51, 300):
+        for restarts in (1, 2, 3):
+            for log in (built, rows, calls):
+                log.clear()
+            result = optimize(target, grid, OptimizerConfig(iterations=iterations, restarts=restarts, seed=5))
+            evals = restarts * (iterations + 1)
+            assert len(built) == 1 and all(ws is built[0] for _, _, ws in calls)
+            consumed = np.concatenate(rows)
+            assert len(calls) == len(consumed) == result.evals == evals
+            for (row, value, _), reached in zip(calls, consumed):
+                assert row.tobytes() == reached.tobytes()
+                r = values - circuit_expectation_grid(row, grid)
+                assert np.float64(value).tobytes() == np.float64(r.dot(r)).tobytes()
+            blocks = [calls[b:b + iterations + 1] for b in range(0, evals, iterations + 1)]
+            assert any(
+                all(np.float64(block[it][1]).tobytes() == np.float64(j).tobytes() for it, j in result.j_trace)
+                for block in blocks
+            )
 
 
 def test_zero_iterations_returns_init_unchanged(monkeypatch):

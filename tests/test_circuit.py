@@ -63,7 +63,7 @@ def test_composed_rotation_equals_hadamard_then_rotation():
     offsets = rng.uniform(-1e3, 1e3, (2, n)) * 10.0 ** rng.uniform(-9.0, 0.0, (2, n))
     rows = np.zeros((n, 6))
     rows[:, :2] = (xs - offsets).T
-    p = Workspace(rows.shape, xs).amplitudes(rows)
+    p = Workspace(rows.shape[:-1], xs).amplitudes(rows)
     eps = np.finfo(float).eps
     for k, theta in ((0, rows[:, 0]), (1, rows[:, 1])):
         phi = xs - theta
@@ -242,7 +242,7 @@ def test_a_workspace_carries_nothing_from_one_row_to_the_next():
     # bits of a fresh call, and the per-qubit arithmetic's values, NaN in
     # the same places
     grid = make_grid(30, 1.5)
-    ws = Workspace((6,), grid)
+    ws = Workspace((), grid)
     assert ws.xs is grid
     rows = workspace_rows()
     out = ws.expectation(rows[0])
@@ -254,12 +254,21 @@ def test_a_workspace_carries_nothing_from_one_row_to_the_next():
             assert np.array_equal(got, per_qubit_grid(v[0], v[1], v[2:], grid), equal_nan=True)
 
 
+def test_a_workspace_is_built_for_the_batch_shape_of_its_rows():
+    # the first argument is the batch shape B of rows (*B, 6), () for one
+    # row; a row width in its place does not broadcast against the grid
+    grid = make_grid(30, 1.5)
+    for width in (5, 6, 7):
+        with pytest.raises(ValueError):
+            Workspace((width,), grid)
+
+
 def test_a_batch_workspace_evaluates_each_row_as_a_fresh_call():
     # the bound kernel checks nothing; its callers check the rows (the
     # index on a target-bound workspace: tests/test_objective.py)
     grid = make_grid(30, 1.5)
     v = np.array([0.4, -0.7, 0.5, -1.2, 1.8, -0.3])
-    batch = Workspace((2, 6), grid[:, None])
+    batch = Workspace((2,), grid[:, None])
     got = batch.expectation(np.stack([v, -v]))
     assert got.shape == (30, 2)
     assert got[:, 0].tobytes() == circuit_expectation_grid(v, grid).tobytes()
@@ -268,10 +277,10 @@ def test_a_batch_workspace_evaluates_each_row_as_a_fresh_call():
     # given target values, a fifth term -values: each row's output - values is
     # -(values - output) bit for bit, over a grid and at one input
     values = np.square(grid)
-    residual = Workspace((2, 1, 6), grid, values).expectation(np.stack([v, -v])[:, None, :])
+    residual = Workspace((2, 1), grid, values).expectation(np.stack([v, -v])[:, None, :])
     for row, got in zip((v, -v), residual):
         assert got.tobytes() == (-(values - circuit_expectation_grid(row, grid))).tobytes()
-    got = Workspace((6,), 0.7, 0.49).expectation(v)
+    got = Workspace((), 0.7, 0.49).expectation(v)
     assert got.tobytes() == np.float64(-(0.49 - circuit_expectation(v, 0.7))).tobytes()
 
 

@@ -50,11 +50,11 @@ def digest(arrays):
     return h.hexdigest()
 
 grid = make_grid(30, 1.5)
-ws = Workspace((6,), grid)
+ws = Workspace((), grid)
 rng = np.random.default_rng(2024)
 rows = np.concatenate([rng.uniform(-np.pi, np.pi, (2000, 2)), rng.uniform(-2.0, 2.0, (2000, 4))], axis=1)
 quadratic = get_target("quadratic")
-bound = Workspace((6,), grid, quadratic.fn(grid))
+bound = Workspace((), grid, quadratic.fn(grid))
 with np.errstate(all="ignore"):
     special = [ws.expectation(v).copy() for v in workspace_rows()]
     index = [performance_index(v, quadratic, grid, bound) for v in np.concatenate([workspace_rows(), rows])]

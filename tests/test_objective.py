@@ -199,7 +199,7 @@ def test_index_with_precomputed_target_values_is_the_same_double():
         values = target.fn(grid)
         values.setflags(write=False)
         before = values.tobytes()
-        workspace = Workspace((6,), grid, values)
+        workspace = Workspace((), grid, values)
         for _ in range(20):
             p = random_params(rng)
             want = performance_index(p, target, grid)
@@ -221,7 +221,7 @@ def test_a_target_bound_workspace_carries_nothing_from_one_row_to_the_next():
     target = get_target("sigmoid")
     values = target.fn(grid)
     before = values.tobytes()
-    workspace = Workspace((6,), grid, values)
+    workspace = Workspace((), grid, values)
     with np.errstate(all="ignore"):
         for v in workspace_rows():
             got = performance_index(v, target, grid, workspace)
@@ -249,7 +249,7 @@ def test_the_index_has_the_bytes_of_the_residual_sum_of_squares():
         outputs = [circuit_expectation_grid(v, grid) for v in rows]
         for target in targets:
             values = target.fn(grid)
-            workspace = Workspace((6,), grid, values)
+            workspace = Workspace((), grid, values)
             for v, out in zip(rows, outputs):
                 r = values - out
                 want = np.float64(r.dot(r)).tobytes()
@@ -266,7 +266,7 @@ def test_every_array_form_on_a_target_bound_workspace_has_the_bytes_of_a_fresh_c
     # array and is rejected, however good its values
     grid = make_grid(30, 1.5)
     target = get_target("gaussian")
-    workspace = Workspace((6,), grid, target.fn(grid))
+    workspace = Workspace((), grid, target.fn(grid))
     v = np.array([0.4, -0.7, 0.5, -1.2, 1.8, -0.3])
     read_only = v.copy()
     read_only.setflags(write=False)
@@ -291,7 +291,7 @@ def test_the_index_on_a_workspace_still_rejects_wrong_shapes_and_foreign_inputs(
     # its one check stands before the bound kernel, which checks nothing
     grid = make_grid(30, 1.5)
     target = get_target("sigmoid")
-    workspace = Workspace((6,), grid, target.fn(grid))
+    workspace = Workspace((), grid, target.fn(grid))
     v = np.ones(6)
     for bad in (np.ones(5), np.ones(7), np.ones((6, 2)), np.ones((2, 6)), np.ones((1, 6))):
         for extra in ((), (workspace,)):
@@ -315,9 +315,9 @@ def test_a_dropped_workspace_is_freed_at_once():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        ws = Workspace((6,), grid)
-        batch = Workspace((2, 6), grid[:, None])
-        bound = Workspace((6,), grid, target.fn(grid))
+        ws = Workspace((), grid)
+        batch = Workspace((2,), grid[:, None])
+        bound = Workspace((), grid, target.fn(grid))
         ws.expectation(v)
         batch.amplitudes(np.stack([v, -v]))
         performance_index(v, target, grid, bound)

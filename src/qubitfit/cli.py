@@ -1,7 +1,10 @@
 """Command line interface.
 
 Subcommands: fit, eval, coeffs, verify, reproduce. Exit codes: 0 success,
-1 verification or acceptance failure, 2 usage or parse error (one line on stderr).
+1 verification or acceptance failure, 2 usage or parse error. The library
+raises ``ValueError`` for every invalid input, so ``main`` reports any
+``ValueError``, a ``CliError`` included, as a usage error: one ``error:``
+line on stderr and exit 2. A handler catches one itself only to add context.
 
 Options are declared once, in ``OPTIONS``, and each resolves once, before the
 subcommand runs: explicit flag, then the key of the same name in the config
@@ -60,8 +63,8 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-class CliError(Exception):
-    """Invocation-level problem; reported once and mapped to exit code 2."""
+class CliError(ValueError):
+    """A usage error found by the CLI itself, where the library would not raise one."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,10 +136,7 @@ def _parse_poly(text: str) -> list[float]:
 def _make_target(args):
     if args.poly is not None and args.target != "custom":
         raise CliError("--poly needs --target custom")
-    try:
-        return get_target(args.target, None if args.poly is None else _parse_poly(args.poly))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return get_target(args.target, None if args.poly is None else _parse_poly(args.poly))
 
 
 def _reject_nul(path, what: str) -> None:
@@ -190,12 +190,9 @@ def cmd_fit(args) -> int:
     # checked before training but created only after it, so that a usage
     # error leaves no directory behind
     _check_out_dir(args.out_dir)
-    try:
-        grid = make_grid(args.n, args.x0)
-        cfg = OptimizerConfig(iterations=args.iterations, restarts=args.restarts, seed=args.seed)
-        result = optimize(target, grid, cfg)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    grid = make_grid(args.n, args.x0)
+    cfg = OptimizerConfig(iterations=args.iterations, restarts=args.restarts, seed=args.seed)
+    result = optimize(target, grid, cfg)
 
     out = _make_out_dir(args.out_dir)
     stem = target.id
@@ -217,11 +214,7 @@ def cmd_fit(args) -> int:
 def cmd_eval(args) -> int:
     params = _load_params(args.params_file)
     target = _make_target(args)
-    try:
-        grid = make_grid(args.n, args.x0)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
+    grid = make_grid(args.n, args.x0)
     j = performance_index(params, target, grid)
     eps = max_pointwise_error(params, target, grid)
     if not (math.isfinite(j) and math.isfinite(eps)):
@@ -248,12 +241,8 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = run_suites(args.trials, args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     ok = True
-    for res in results:
+    for res in run_suites(args.trials, args.seed):
         if res.passed:
             print(f"{res.name}: PASS ({res.trials} trials)")
         else:
@@ -267,8 +256,6 @@ def cmd_reproduce(args) -> int:
     try:
         report = run_reproduction(args.out_dir, seed=args.seed, iterations=args.iterations,
                                   restarts=args.restarts)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     except OSError as exc:
         raise CliError(f"cannot write outputs to {args.out_dir}: {exc}") from exc
     print(report.table_path.read_text(encoding="utf-8"))
@@ -333,7 +320,7 @@ def main(argv=None) -> int:
         _resolve_options(args)
         with np.errstate(over="ignore", invalid="ignore"):
             return args.handler(args)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

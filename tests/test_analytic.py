@@ -16,7 +16,7 @@ from qubitfit import (
     cubic_remainder,
     prepare_state,
 )
-from qubitfit.analytic import _trig_coefficients
+from qubitfit.analytic import _sin_shift_series, _trig_coefficients
 
 from conftest import random_params
 from oracles import (
@@ -141,6 +141,19 @@ def test_cubic_equals_the_fourier_form_to_rounding():
     # and one point, through the CubicPoly route
     poly = cubic_coefficients(rows[0])
     assert np.all(np.abs(poly.as_array() - want[0]) <= bound[0])
+
+
+def test_the_cubic_cross_term_sums_in_the_derivation_order():
+    # the rounding bounds above cannot see the order of a sum, but `coeffs`
+    # prints every bit: the degree-3 cross term is sum_i q1[i] * q2[3 - i] in
+    # ascending i, with q1 the series of sin(x - theta1); the reverse order
+    # changes the last bit of a3 on about a quarter of these rows
+    rows = np.random.default_rng(77).uniform(-np.pi, np.pi, (2000, 6))
+    theta1, theta2, *g = rows.T
+    q1, q2 = _sin_shift_series(theta1), _sin_shift_series(theta2)
+    _, c1, c2, c3 = _trig_coefficients(*g)
+    cross = q1[0] * q2[3] + q1[1] * q2[2] + q1[2] * q2[1] + q1[3] * q2[0]
+    assert np.array_equal(cubic_coefficients(rows)[:, 3], c1 * q1[3] + c2 * q2[3] + c3 * cross)
 
 
 def test_remainder_matches_direct_recomputation():

@@ -388,6 +388,35 @@ def test_a_target_that_overflows_is_named_on_one_line(argv, err, tmp_path, monke
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, err", [
+    # a library ValueError is its own message
+    (["verify", "--trials", "0"], "error: trials must be >= 1, got 0\n"),
+    (["reproduce", "--restarts", "0", "--iterations", "5"], "error: restarts must be >= 1, got 0\n"),
+    (["verify", "--trials", "5", "--seed", "-1"], "error: seed must be a non-negative integer, got -1\n"),
+    # a mapping in the CLI adds what the library cannot know
+    (["fit", "--target", "custom", "--poly", "1,,2"], "error: bad polynomial coefficients: '1,,2'\n"),
+    (["coeffs", "missing.params"], "error: cannot read parameter file missing.params: "
+     f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'missing.params'\n"),
+])
+def test_a_usage_error_is_its_exact_message_on_one_line(argv, err, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_value_error_from_any_library_call_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # no call site maps it: main reports every ValueError as one line, exit 2
+    def invalid(*args):
+        raise ValueError("the index rejects its input")
+
+    monkeypatch.setattr(cli_mod, "performance_index", invalid)
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval", BUNDLED_QUADRATIC, "--target", "quadratic"]) == 2
+    assert capsys.readouterr() == ("", "error: the index rejects its input\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_cli_rejects_a_non_integer_seed_on_one_line(monkeypatch, capsys):
     # a seed option that let a float through must not truncate it
     monkeypatch.setitem(cli_mod.OPTIONS, "seed", (float, 42.0, "seed"))
@@ -459,6 +488,83 @@ def test_fit_rejects_an_out_dir_under_a_regular_file_before_training(
     # nothing is written or created
     assert list(tmp_path.iterdir()) == [blocker]
     assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
+@pytest.mark.parametrize("case", ["under an executable file", "name too long", "not writable"])
+def test_an_out_dir_that_cannot_be_created_stops_fit_before_training(case, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli_mod, "optimize", lambda *args: calls.append(args))
+    reason = None
+    if case == "under an executable file":
+        # an executable file passes the access check: only the type check stops it
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep\n", encoding="utf-8")
+        blocker.chmod(0o755)
+        out, reason = blocker / "out", f"{blocker} is not a directory"
+    elif case == "name too long":
+        out = tmp_path / ("a" * 300) / "out"  # Path.exists() raises, it does not say False
+    else:
+        # the access check, as an unprivileged user would meet it
+        monkeypatch.setattr(cli_mod.os, "access", lambda path, mode: False)
+        out, reason = tmp_path / "out", f"{tmp_path} is not writable"
+    assert main(fit_args(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {out}: ") and err.count("\n") == 1, err
+    if reason is not None:
+        assert err == f"error: cannot create output directory {out}: {reason}\n"
+    assert calls == []
+
+
+def test_eval_reports_an_out_dir_it_cannot_create(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n", encoding="utf-8")
+    out = blocker / "out"
+    assert main(["eval", BUNDLED_QUADRATIC, "--target", "quadratic", "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot create output directory {out}: ")
+    assert captured.err.count("\n") == 1, captured.err
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["fit", "--target", "quadratic", "--iterations", "5", "--restarts", "1"], "quadratic.params"),
+    (["eval", BUNDLED_QUADRATIC, "--target", "quadratic"], "quadratic_run.csv"),
+    (["reproduce", "--iterations", "5", "--restarts", "1"], "quadratic_published.svg"),
+])
+def test_an_output_that_cannot_be_written_is_one_error_line(argv, blocked, tmp_path, capsys):
+    # a directory where an artifact goes: the write fails after the checks pass
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write outputs to {out}: ")
+    assert captured.err.count("\n") == 1, captured.err
+
+
+def test_fit_prints_its_result_then_the_params_path(tmp_path, capsys):
+    assert main(fit_args(tmp_path, "--iterations", "5")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = read_summary(tmp_path / "quadratic_summary.txt")
+    assert lines == [
+        f"target=quadratic J={summary['J']} max_error={summary['max_error']} evals=12 seed=11",
+        f"wrote {tmp_path / 'quadratic.params'}",
+    ]
+
+
+@pytest.mark.parametrize("passed, code, verdict, err", [
+    (True, 0, "all reproduction checks passed\n", ""),
+    (False, 1, "", "reproduction checks FAILED\n"),
+])
+def test_reproduce_cli_prints_the_table_the_wall_time_and_the_verdict(
+    passed, code, verdict, err, tmp_path, monkeypatch, capsys
+):
+    table = tmp_path / "report.md"
+    table.write_text("| table |\n", encoding="utf-8")
+    report = SimpleNamespace(table_path=table, retrain_seconds=1.23, all_passed=passed)
+    monkeypatch.setattr(cli_mod, "run_reproduction", lambda *args, **kw: report)
+    assert main(["reproduce", "--out-dir", str(tmp_path / "r")]) == code
+    assert capsys.readouterr() == ("| table |\n\nretraining wall time: 1.2 s\n" + verdict, err)
 
 
 def test_fit_creates_a_nested_out_dir(tmp_path):

@@ -137,6 +137,12 @@ def test_parse_rejects_malformed_documents():
         parse_keyvals("a=1\nb=2\nbroken line\n")
 
 
+def test_a_value_keeps_its_equals_signs_and_an_empty_key_names_its_line():
+    assert parse_keyvals("out_dir=a=b\n") == {"out_dir": "a=b"}
+    with pytest.raises(ParamsFileError, match=r"^line 2: empty key$"):
+        parse_keyvals("n=3\n = 4\n")
+
+
 def test_file_round_trip(tmp_path):
     params = CircuitParams(0.4, -0.7, np.array([0.5, -1.2, 1.8, -0.3]))
     path = tmp_path / "p.params"

@@ -261,6 +261,33 @@ def test_first_failure_of_a_partly_skewed_remainder(monkeypatch):
     assert (rem.failures, rem.detail) == (failures, detail)
 
 
+def test_each_suite_passes_at_its_stated_bound_and_fails_one_ulp_past_it(monkeypatch):
+    # the bounds the module docstring and the messages state: 1e-12 between
+    # simulator and closed form, 1e-12 slack outside [min(g), max(g)], a
+    # remainder ratio in [4, 64], and draws under the 1e-10 floor skipped
+    up, down = (lambda v: np.nextafter(v, np.inf)), (lambda v: np.nextafter(v, 0.0))
+    sim = np.array([1e-12, -1e-12, up(1e-12), -up(1e-12), 0.0, 0.0])
+    # ratios 4, 64, 1 at the floor, just under 4, just over 64, 1 under the floor
+    r1 = np.array([2.0**-30, 2.0**-30, 1e-10, 2.0**-30, 2.0**-30, down(1e-10)])
+    r2 = np.array([2.0**-28, 2.0**-24, 1e-10, down(2.0**-28), up(2.0**-24), down(1e-10)])
+    # g = 0: the closed form is 0 and min(g) = max(g) = 0; the angles take no
+    # part in the range, and draws 2 and 3, just outside it, lie inside theirs
+    rows = np.zeros((6, 6))
+    rows[2, :2], rows[3, :2] = 1.0, -1.0
+    monkeypatch.setattr(verify_mod, "_draws", lambda trials, seed: (rows, np.zeros(6)))
+    monkeypatch.setattr(verify_mod, "circuit_expectation", lambda rows, xs: sim)
+    monkeypatch.setattr(verify_mod, "cubic_remainder", lambda rows, x: np.stack([r1, r2]))
+    got = {r.name: (r.failures, r.detail) for r in run_suites(6, 0)}
+    assert got == {
+        "equivalence": (2, "first failure at draw 2 of seed 0: |sim - closed| = 1.000e-12"),
+        "normalization": (0, "ok"),
+        "boundedness": (
+            2, f"first failure at draw 2 of seed 0: value {float(up(1e-12))!r} outside [0.0, 0.0]"
+        ),
+        "remainder": (3, "first failure at draw 2 of seed 0: remainder ratio 1.000 outside [4, 64]"),
+    }
+
+
 def test_reported_first_failure_replays_alone(monkeypatch):
     real = verify_mod.circuit_expectation
     skew = lambda v, x: real(v, x) + np.where(np.asarray(x) > 0, 1e-6, 0.0)

@@ -494,24 +494,21 @@ def test_fit_rejects_an_out_dir_under_a_regular_file_before_training(
 def test_an_out_dir_that_cannot_be_created_stops_fit_before_training(case, tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli_mod, "optimize", lambda *args: calls.append(args))
-    reason = None
+    out = tmp_path / "out"
     if case == "under an executable file":
         # an executable file passes the access check: only the type check stops it
         blocker = tmp_path / "blocker"
         blocker.write_text("keep\n", encoding="utf-8")
         blocker.chmod(0o755)
-        out, reason = blocker / "out", f"{blocker} is not a directory"
+        out = blocker / "out"
     elif case == "name too long":
         out = tmp_path / ("a" * 300) / "out"  # Path.exists() raises, it does not say False
     else:
         # the access check, as an unprivileged user would meet it
         monkeypatch.setattr(cli_mod.os, "access", lambda path, mode: False)
-        out, reason = tmp_path / "out", f"{tmp_path} is not writable"
     assert main(fit_args(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot create output directory {out}: ") and err.count("\n") == 1, err
-    if reason is not None:
-        assert err == f"error: cannot create output directory {out}: {reason}\n"
     assert calls == []
 
 

@@ -17,7 +17,6 @@ from .analytic import (
 from .chemotaxis import FitResult, OptimizerConfig, optimize
 from .circuit import (
     CircuitParams,
-    StateVector,
     circuit_expectation,
     circuit_expectation_grid,
     prepare_state,
@@ -42,7 +41,6 @@ from .verify import SuiteResult, run_suites
 
 __all__ = [
     "CircuitParams",
-    "StateVector",
     "prepare_state",
     "circuit_expectation",
     "circuit_expectation_grid",

@@ -28,7 +28,7 @@ no ``CircuitParams`` per point; only ``CircuitParams`` is validated. Every
 function here takes one row of shape ``(6,)`` or a batch of rows
 ``(*B, 6)``, whose batch axes ``B`` broadcast against the inputs.
 :func:`_param_rows` is the one shape check. One point keeps the scalar
-types (a ``float``, a :class:`StateVector`); a batch gives arrays.
+type (a ``float``); a batch gives arrays.
 
 A :class:`Workspace`, built for the batch shape ``B`` of its rows (``()``
 for one row) and an input array, binds the one kernel body over its own
@@ -55,8 +55,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-NORM_TOL = 1e-12
 
 # the amplitude step's half-angle factor as a read-only 0-d array: a ufunc
 # converts a Python float operand anew on every call
@@ -106,40 +104,6 @@ class CircuitParams:
         if v.shape != (6,):
             raise ValueError(f"parameter vector must have 6 entries, got shape {v.shape}")
         return cls(theta1=float(v[0]), theta2=float(v[1]), g=v[2:])
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Four real amplitudes of the two-qubit register, unit norm.
-
-    Every gate of the circuit is real, and so is every state it prepares.
-    An input with a non-zero imaginary part raises ``ValueError``.
-    """
-
-    amp: np.ndarray
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        return bool(np.array_equal(self.amp, other.amp))
-
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amp)
-        if np.iscomplexobj(amp) and amp.imag.any():
-            raise ValueError("statevector amplitudes must be real")
-        amp = np.array(amp.real, dtype=float)
-        if amp.shape != (4,):
-            raise ValueError(f"statevector must have 4 amplitudes, got shape {amp.shape}")
-        if not np.isfinite(amp).all():
-            raise ValueError("statevector amplitudes must be finite")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amp", amp)
-        norm_sq = self.norm_sq()
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"statevector is not normalized: |psi|^2 = {norm_sq!r}")
-
-    def norm_sq(self) -> float:
-        return float(np.dot(self.amp, self.amp))
 
 
 def _param_rows(params: CircuitParams | np.ndarray) -> np.ndarray:
@@ -235,7 +199,7 @@ class Workspace:
         self.amplitudes, self.expectation = amplitudes, expectation
 
 
-def prepare_state(params: CircuitParams | np.ndarray, x):
+def prepare_state(params: CircuitParams | np.ndarray, x) -> np.ndarray:
     """The circuit's two-qubit state at input x.
 
     (H (x) H)|00> is the product of two |+> states, and each rotation
@@ -243,15 +207,14 @@ def prepare_state(params: CircuitParams | np.ndarray, x):
     two single-qubit amplitude pairs of :attr:`Workspace.amplitudes`: the
     four products in index order, which is much cheaper than ``np.kron``.
 
-    One point gives a :class:`StateVector`. A batch of rows ``(*B, 6)``
-    gives the real amplitude rows ``(..., 4)``, unvalidated, so a caller
-    can measure how far each is from unit norm.
+    The real amplitudes, unvalidated, so a caller can measure how far a
+    state is from unit norm: shape ``(4,)`` for one point, ``(..., 4)``
+    for a batch of rows ``(*B, 6)``.
     """
     v = _param_rows(params)
     p = Workspace(v.shape[:-1], x).amplitudes(v)
     # amplitude index 2*i + j: basis bit i of the first slot, j of the second
-    amp = np.stack([p[i, 1] * p[j, 0] for i in (0, 1) for j in (0, 1)], axis=-1)
-    return StateVector(amp) if amp.ndim == 1 else amp
+    return np.stack([p[i, 1] * p[j, 0] for i in (0, 1) for j in (0, 1)], axis=-1)
 
 
 def circuit_expectation(params: CircuitParams | np.ndarray, x):

@@ -12,8 +12,6 @@ import numpy as np
 
 from .circuit import CircuitParams, Workspace, _param_rows, circuit_expectation_grid
 
-TARGET_IDS = ("quadratic", "gaussian", "sigmoid", "custom")
-
 
 @dataclass(frozen=True)
 class TargetFunction:
@@ -28,6 +26,7 @@ _BUILTIN: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "gaussian": lambda x: np.exp(-np.square(x)),
     "sigmoid": np.tanh,
 }
+TARGET_IDS = (*_BUILTIN, "custom")
 
 
 def polynomial_target(coeffs: Sequence[float]) -> TargetFunction:

@@ -28,9 +28,10 @@ import numpy as np
 
 from .analytic import closed_form_expectation, cubic_remainder
 from .chemotaxis import N_DIM, map_uniform
-from .circuit import NORM_TOL, circuit_expectation, prepare_state
+from .circuit import circuit_expectation, prepare_state
 
 EQUIV_TOL = 1e-12
+NORM_TOL = 1e-12
 BOUND_SLACK = 1e-12
 RATIO_LO, RATIO_HI = 4.0, 64.0
 # Below this, the quartic Taylor coefficient is effectively zero for the
@@ -122,7 +123,7 @@ def run_suites(trials: int, seed: int) -> list[SuiteResult]:
     ratio = np.divide(r2, r1, out=np.zeros(trials), where=measured)
     results.append(_collect(
         "remainder", seed, measured & ~((RATIO_LO <= ratio) & (ratio <= RATIO_HI)),
-        lambda i: f"remainder ratio {ratio[i]:.3f} outside [4, 64]",
+        lambda i: f"remainder ratio {ratio[i]:.3f} outside [{RATIO_LO:g}, {RATIO_HI:g}]",
     ))
 
     return results

@@ -80,8 +80,8 @@ def test_criterion_2_normalization_and_boundedness(announce):
     worst_norm = 0.0
     worst_excess = -math.inf
     for params, x in seeded_draws(1000, 271828):
-        state = prepare_state(params, x)
-        worst_norm = max(worst_norm, abs(state.norm_sq() - 1.0))
+        amp = prepare_state(params, x)
+        worst_norm = max(worst_norm, abs(float(amp @ amp) - 1.0))
         value = circuit_expectation(params, x)
         lo, hi = float(np.min(params.g)), float(np.max(params.g))
         worst_excess = max(worst_excess, lo - value, value - hi)

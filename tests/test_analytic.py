@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qubitfit import (
     CircuitParams,
     CubicPoly,
-    StateVector,
     circuit_expectation,
     circuit_expectation_grid,
     closed_form_expectation,
@@ -189,7 +188,7 @@ def test_amplitude_series_matches_finite_differences():
         assert coeffs.shape == (4, 3)
         for b in range(4):
             fd = fd_maclaurin(
-                lambda xx, b=b: float(prepare_state(params, xx).amp[b].real), degree=2, h=1e-3
+                lambda xx, b=b: float(prepare_state(params, xx)[b]), degree=2, h=1e-3
             )
             assert np.all(np.abs(coeffs[b] - fd) <= 1e-6 * np.maximum(1.0, np.abs(coeffs[b])))
 
@@ -203,7 +202,7 @@ def test_amplitude_truncation_scales_as_cube():
         coeffs = amplitude_quadratic_coefficients(params.theta1, params.theta2)
         for b in range(4):
             quad = np.polynomial.polynomial.Polynomial(coeffs[b])
-            err = lambda xx: abs(float(prepare_state(params, xx).amp[b].real) - quad(xx))
+            err = lambda xx: abs(float(prepare_state(params, xx)[b]) - quad(xx))
             small, big = err(1e-2), err(2e-2)
             if min(small, big) < 1e-9:
                 continue
@@ -226,7 +225,7 @@ def _batch_outputs(rows, x) -> dict:
 
 def _single_point_outputs(v, x) -> dict:
     # the same functions on one row at one input, which keep the scalar
-    # types, and the same values, whether the input is a float, a numpy
+    # types (a state is its four amplitudes), and the same values, whether the input is a float, a numpy
     # float or a 0-d array
     outs = []
     for x_in in (float(x), np.float64(x), np.array(x, dtype=float)):
@@ -234,8 +233,8 @@ def _single_point_outputs(v, x) -> dict:
         assert type(one["sim"]) is float and type(one["closed"]) is float
         assert type(one["remainder"]) is float and type(one["grid"]) is np.float64
         assert isinstance(one["coeffs"], CubicPoly) and type(one["coeffs"].a0) is float
-        assert isinstance(one["amp"], StateVector)
-        one["coeffs"], one["amp"] = one["coeffs"].as_array(), one["amp"].amp
+        assert one["amp"].shape == (4,)
+        one["coeffs"] = one["coeffs"].as_array()
         outs.append(one)
     for other in outs[1:]:
         assert all(np.array_equal(other[k], outs[0][k], equal_nan=True) for k in outs[0])

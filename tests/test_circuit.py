@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qubitfit import (
     CircuitParams,
-    StateVector,
     circuit_expectation,
     circuit_expectation_grid,
     make_grid,
@@ -34,7 +33,7 @@ diagonals = st.tuples(diag_entries, diag_entries, diag_entries, diag_entries)
 def test_state_at_center_is_uniform():
     # x = theta1 = theta2 makes both rotations the identity
     state = prepare_state(CircuitParams(0.0, 0.0, np.zeros(4)), 0.0)
-    assert np.allclose(state.amp, np.full(4, 0.5), atol=1e-15)
+    assert np.allclose(state, np.full(4, 0.5), atol=1e-15)
 
 
 def test_state_equals_per_qubit_amplitudes():
@@ -47,9 +46,8 @@ def test_state_equals_per_qubit_amplitudes():
         want = per_qubit_state(p.theta1, p.theta2, x)
         for params in (p, p.as_vector()):
             state = prepare_state(params, x)
-            assert isinstance(state, StateVector)
-            assert state.amp.dtype == np.float64
-            assert state.amp.tobytes() == want.tobytes()
+            assert state.shape == (4,) and state.dtype == np.float64
+            assert state.tobytes() == want.tobytes()
 
 
 def test_composed_rotation_equals_hadamard_then_rotation():
@@ -98,7 +96,7 @@ def test_state_batch_equals_per_qubit_amplitudes_on_non_finite_and_huge_rows():
 @given(angles, angles, inputs)
 def test_state_is_normalized(theta1, theta2, x):
     state = prepare_state(CircuitParams(theta1, theta2, np.ones(4)), x)
-    assert abs(state.norm_sq() - 1.0) <= 1e-12
+    assert abs(state @ state - 1.0) <= 1e-12
 
 
 @given(angles, angles, inputs)
@@ -338,23 +336,3 @@ def test_params_vector_round_trip():
     assert np.array_equal(CircuitParams.from_vector(v).as_vector(), v)
     with pytest.raises(ValueError):
         CircuitParams.from_vector(np.ones(5))
-
-
-def test_statevector_validation():
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0, 0.0, 0.0]))  # norm 2, not 1
-    with pytest.raises(ValueError):
-        StateVector(np.ones(3) / math.sqrt(3))
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 0.0, 0.0, 1e-20j]))  # not real
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 0.0, 0.0, math.nan]))
-
-
-def test_statevector_stores_real_amplitudes():
-    state = StateVector(np.array([0.5 + 0j, 0.5, -0.5, 0.5]))  # complex input, zero imaginary part
-    assert state.amp.dtype == np.float64
-    assert state.amp.tolist() == [0.5, 0.5, -0.5, 0.5]
-    assert state.norm_sq() == 1.0
-    with pytest.raises(ValueError):
-        state.amp[0] = 1.0

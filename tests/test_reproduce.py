@@ -53,6 +53,8 @@ def test_thresholds_cover_all_targets():
 def test_report_row_pass_logic():
     row = ReportRow("published", "quadratic", 0.09, 0.1, 0.03, 0.1)
     assert row.passed
+    # an index at the threshold meets it
+    assert ReportRow("published", "quadratic", 0.1, 0.1, 0.03, 0.1).passed
     assert not ReportRow("published", "quadratic", 0.11, 0.1, 0.03, 0.1).passed
 
 

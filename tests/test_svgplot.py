@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qubitfit.svgplot import HEIGHT, WIDTH, _escape, render_line_plot, write_line_plot
+from qubitfit.svgplot import HEIGHT, WIDTH, _escape, _span, render_line_plot, write_line_plot
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -72,13 +72,15 @@ def test_flat_series_does_not_collapse_the_scale():
     x = np.array([0.0, 1.0, 2.0])
     doc = render_line_plot(x, [("const", np.zeros(3), "#000000")])
     ET.fromstring(doc)  # finite coordinates, parseable document
+    # a flat range spans one unit either side
+    assert _span(0.5, 0.5) == (-0.5, 1.5)
 
 
 def test_input_validation():
     x = np.array([0.0, 1.0])
     with pytest.raises(ValueError):
         render_line_plot(np.array([1.0]), [("s", np.array([1.0]), "#000000")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one series"):
         render_line_plot(x, [])
     with pytest.raises(ValueError):
         render_line_plot(x, [("s", np.array([1.0, 2.0, 3.0]), "#000000")])

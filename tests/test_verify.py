@@ -288,6 +288,19 @@ def test_each_suite_passes_at_its_stated_bound_and_fails_one_ulp_past_it(monkeyp
     }
 
 
+def test_remainder_failure_names_the_bounds_the_check_reads(monkeypatch):
+    # the message is built from RATIO_LO and RATIO_HI, so moving a bound
+    # moves the text with it
+    monkeypatch.setattr(verify_mod, "RATIO_LO", 0.5)
+    monkeypatch.setattr(verify_mod, "RATIO_HI", 8.0)
+    r = np.ones(5)
+    monkeypatch.setattr(verify_mod, "cubic_remainder", lambda rows, x: np.stack([1e-6 * r, 1.6e-5 * r]))
+    rem = _suite("remainder", 5, 0)
+    assert (rem.failures, rem.detail) == (
+        5, "first failure at draw 0 of seed 0: remainder ratio 16.000 outside [0.5, 8]"
+    )
+
+
 def test_reported_first_failure_replays_alone(monkeypatch):
     real = verify_mod.circuit_expectation
     skew = lambda v, x: real(v, x) + np.where(np.asarray(x) > 0, 1e-6, 0.0)

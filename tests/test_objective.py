@@ -19,6 +19,8 @@ from qubitfit import (
 )
 from qubitfit.chemotaxis import OptimizerConfig, optimize
 from qubitfit.circuit import Workspace
+from qubitfit.cli import build_parser
+from qubitfit.objective import TARGET_IDS
 
 from conftest import random_params, workspace_rows
 from oracles import sum_of_squares_index
@@ -41,6 +43,20 @@ def test_targets_vectorize():
 def test_get_target_rejects_unknown_id():
     with pytest.raises(ValueError):
         get_target("cubic")
+
+
+def test_target_ids_are_the_builtins_then_custom():
+    # each name is written once, in the builtin table; the tuple, its order
+    # and the CLI's --target choices follow from it
+    assert TARGET_IDS == ("quadratic", "gaussian", "sigmoid", "custom")
+    assert [get_target(t).id for t in TARGET_IDS[:-1]] == list(TARGET_IDS[:-1])
+    with pytest.raises(ValueError, match=r"expected one of \('quadratic', 'gaussian', 'sigmoid', 'custom'\)$"):
+        get_target("cubic")
+    parser = build_parser()
+    for argv in (["fit"], ["eval", "p.params"]):
+        assert [parser.parse_args([*argv, "--target", t]).target for t in TARGET_IDS] == list(TARGET_IDS)
+        with pytest.raises(SystemExit):
+            parser.parse_args([*argv, "--target", "cubic"])
 
 
 def test_custom_target_requires_coefficients():

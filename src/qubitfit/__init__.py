@@ -4,8 +4,8 @@ The package splits into five layers: exact statevector simulation
 (:mod:`.circuit`), closed-form and cubic Maclaurin analysis (:mod:`.analytic`),
 the sampled least-squares objective (:mod:`.objective`), a derivative-free
 chemotaxis optimizer (:mod:`.chemotaxis`), and the file/CLI surface
-(:mod:`.fileio`, :mod:`.svgplot`, :mod:`.verify`, :mod:`.reproduce`,
-:mod:`.cli`).
+(:mod:`.fileio` with the parameter, record and SVG plot formats,
+:mod:`.verify`, :mod:`.reproduce`, :mod:`.cli`).
 """
 
 from .analytic import (

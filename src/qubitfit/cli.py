@@ -33,6 +33,7 @@ from .fileio import (
     ParamsFileError,
     read_config,
     read_params_file,
+    write_line_plot,  # noqa: F401  (traced by perfbench/spans.py)
     write_params_file,
     write_run_csv,
     write_summary,
@@ -40,7 +41,6 @@ from .fileio import (
 )
 from .objective import TARGET_IDS, get_target, make_grid, max_pointwise_error, performance_index
 from .reproduce import DEFAULT_N, DEFAULT_X0, run_reproduction, write_comparison_plot
-from .svgplot import write_line_plot  # noqa: F401  (traced by perfbench/spans.py)
 from .verify import run_suites
 
 CONFIG_NAME = "qubitfit.conf"
@@ -55,7 +55,7 @@ OPTIONS = {
     "restarts": (int, OptimizerConfig.restarts, "independent restarts (default {})"),
     "seed": (int, OptimizerConfig.seed, f"master RNG seed (default ${SEED_ENV} or {{}})"),
     "trials": (int, 1000, "number of random draws (default {})"),
-    "out_dir": (Path, Path("."), "output directory"),
+    "out_dir": (Path, Path("."), "output directory (default {})"),
 }
 
 EXIT_OK = 0
@@ -269,13 +269,14 @@ def cmd_reproduce(args) -> int:
 
 def _add_options(sub, handler, names=(), **defaults):
     """Add the flags of the named options, and --config if there are any;
-    ``defaults`` overrides the table's default for this subcommand."""
-    for name in names:
-        cast, default, text = OPTIONS[name]
+    ``defaults`` overrides the table's default for this subcommand, in its help too."""
+    options = {name: defaults.get(name, OPTIONS[name][1]) for name in names}
+    for name, default in options.items():
+        cast, _, text = OPTIONS[name]
         sub.add_argument("--" + name.replace("_", "-"), dest=name, type=cast, help=text.format(default))
     if names:
         sub.add_argument("--config", help=f"key=value config file (default: ./{CONFIG_NAME} if present)")
-    sub.set_defaults(handler=handler, options={name: defaults.get(name, OPTIONS[name][1]) for name in names})
+    sub.set_defaults(handler=handler, options=options)
 
 
 def _add_target(sub):

@@ -8,7 +8,7 @@ Two passes per target (quadratic, gaussian, sigmoid):
   reference parameters are stored at;
 * retrained  - train from scratch at the standard budget (N = 30,
   x0 = 1.5, 5000 iterations, 10 restarts) and require the achieved index
-  to beat a fixed threshold.
+  not to exceed a fixed threshold.
 
 Writes a markdown table, two comparison plots per target (published and
 retrained parameters), and the retrained parameter sets.
@@ -24,9 +24,8 @@ import numpy as np
 
 from .chemotaxis import FitResult, OptimizerConfig, optimize
 from .circuit import CircuitParams, circuit_expectation_grid
-from .fileio import _write_text, parse_params, write_params_file
+from .fileio import _write_text, parse_params, write_line_plot, write_params_file
 from .objective import TargetFunction, get_target, make_grid, max_pointwise_error, performance_index
-from .svgplot import write_line_plot
 
 EXPERIMENT_TARGETS = ("quadratic", "gaussian", "sigmoid")
 

@@ -608,11 +608,18 @@ def test_reproduce_cli_writes_report_and_artifacts(tmp_path, capsys):
 
 
 def test_help_screens_exit_zero(capsys):
+    out_dirs = {"fit": ".", "eval": ".", "reproduce": "reproduction"}
     for sub in ("fit", "eval", "coeffs", "verify", "reproduce"):
         with pytest.raises(SystemExit) as exc:
             main([sub, "--help"])
         assert exc.value.code == 0
-        assert capsys.readouterr().out  # usage text printed
+        out = " ".join(capsys.readouterr().out.split())  # help lines wrap with the terminal
+        assert out  # usage text printed
+        # each subcommand's help states its own default, not the table's
+        if sub in out_dirs:
+            assert f"--out-dir OUT_DIR output directory (default {out_dirs[sub]})" in out, out
+        else:
+            assert "--out-dir" not in out, out
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -18,12 +18,12 @@ from qubitfit.fileio import (
     parse_keyvals,
     read_config,
     read_params_file,
+    write_line_plot,
     write_params_file,
     write_run_csv,
     write_summary,
     write_trace_csv,
 )
-from qubitfit.svgplot import write_line_plot
 
 from conftest import random_params
 

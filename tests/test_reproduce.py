@@ -1,17 +1,23 @@
+import errno
+import os
+import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qubitfit.fileio as fileio_mod
 from qubitfit import get_target, make_grid, performance_index, published_params
 from qubitfit import reproduce
 from qubitfit.reproduce import (
     EXPERIMENT_TARGETS,
+    PLOT_POINTS,
     PUBLISHED_THRESHOLD,
     REFERENCE_INDEX,
     RETRAINED_THRESHOLD,
     ReportRow,
     run_reproduction,
+    write_comparison_plot,
 )
 
 
@@ -45,9 +51,29 @@ def test_published_index_meets_reference_slack():
         assert j <= 12 * REFERENCE_INDEX[target_id], (target_id, j)
 
 
+# the reference index of each bundled parameter set and the acceptance
+# thresholds, as report.md prints them: (reference J, published, retrained)
+DOCUMENTED = {
+    "quadratic": ("0.03", "0.1", "0.05"),
+    "gaussian": ("0.005", "0.02", "0.02"),
+    "sigmoid": ("0.006", "0.02", "0.02"),
+}
+
+
 def test_thresholds_cover_all_targets():
     for table in (REFERENCE_INDEX, PUBLISHED_THRESHOLD, RETRAINED_THRESHOLD):
         assert set(table) == set(EXPERIMENT_TARGETS)
+
+
+def test_a_comparison_plot_draws_both_curves_left_to_right(tmp_path):
+    path = tmp_path / "quadratic.svg"
+    write_comparison_plot(path, get_target("quadratic"), published_params("quadratic"))
+    polylines = ET.fromstring(path.read_text(encoding="utf-8")).findall("{http://www.w3.org/2000/svg}polyline")
+    assert [p.get("stroke") for p in polylines] == ["#cc0000", "#000000"]  # target, then circuit
+    for p in polylines:
+        xs = [float(pair.split(",")[0]) for pair in p.get("points").split()]
+        assert len(xs) == PLOT_POINTS
+        assert all(a < b for a, b in zip(xs, xs[1:]))
 
 
 def test_report_row_pass_logic():
@@ -68,10 +94,12 @@ def test_run_reproduction_structure(tmp_path):
     assert report.retrain_seconds > 0.0
     assert report.table_path == tmp_path / "report.md"
 
-    table = report.table_path.read_text(encoding="utf-8")
+    lines = report.table_path.read_text(encoding="utf-8").splitlines()
     for target_id in EXPERIMENT_TARGETS:
-        assert f"| published | {target_id} |" in table
-        assert f"| retrained | {target_id} |" in table
+        reference, published, retrained = DOCUMENTED[target_id]
+        for kind, threshold in (("published", published), ("retrained", retrained)):
+            line = next(line for line in lines if line.startswith(f"| {kind} | {target_id} |"))
+            assert line.split(" | ")[4:6] == [reference, threshold], line
         assert (tmp_path / f"{target_id}.svg").is_file()
         assert (tmp_path / f"{target_id}_published.svg").is_file()
         assert (tmp_path / f"{target_id}.params").is_file()
@@ -92,3 +120,31 @@ def test_report_bytes_do_not_depend_on_wall_time(tmp_path, monkeypatch):
         assert report.retrain_seconds == elapsed
         tables.append(report.table_path.read_bytes())
     assert tables[0] == tables[1]
+
+
+def test_a_report_write_that_fails_partway_keeps_the_old_report(tmp_path, monkeypatch):
+    # the disk fills halfway through report.md, after every other artifact is written
+    def half_then_full_for_the_report(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        if not os.path.basename(file).startswith("report.md"):
+            return fh
+        write = fh.write
+
+        def fail(text):
+            write(text[: len(text) // 2])
+            fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device", file)
+
+        fh.write = fail
+        return fh
+
+    path = tmp_path / "report.md"
+    path.write_bytes(b"keep\n")
+    monkeypatch.setattr(fileio_mod, "open", half_then_full_for_the_report, raising=False)
+    with pytest.raises(OSError) as info:
+        run_reproduction(tmp_path, seed=3, iterations=20, restarts=1)
+    assert info.value.errno == errno.ENOSPC
+    assert info.value.filename == str(path)  # the report, not its temporary file
+    assert path.read_bytes() == b"keep\n"
+    artifacts = {f"{t}{suffix}" for t in EXPERIMENT_TARGETS for suffix in (".params", ".svg", "_published.svg")}
+    assert {p.name for p in tmp_path.iterdir()} == artifacts | {"report.md"}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qubitfit.svgplot import HEIGHT, WIDTH, _escape, _span, render_line_plot, write_line_plot
+from qubitfit.fileio import HEIGHT, WIDTH, _escape, _span, render_line_plot, write_line_plot
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -72,8 +72,9 @@ def test_flat_series_does_not_collapse_the_scale():
     x = np.array([0.0, 1.0, 2.0])
     doc = render_line_plot(x, [("const", np.zeros(3), "#000000")])
     ET.fromstring(doc)  # finite coordinates, parseable document
-    # a flat range spans one unit either side
+    # a flat range spans one unit either side; any other gains 5 % of its width per side
     assert _span(0.5, 0.5) == (-0.5, 1.5)
+    assert _span(0.0, 2.0) == (-0.1, 2.1)
 
 
 def test_input_validation():
@@ -93,3 +94,51 @@ def test_write_is_deterministic(tmp_path):
     write_line_plot(p1, x, series, title="t")
     write_line_plot(p2, x, series, title="t")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# every coordinate and tick label here is exact in binary or rounds far from a
+# digit boundary, so these bytes are the same on every platform
+GOLDEN_DOC = """\
+<?xml version="1.0" encoding="UTF-8" standalone="no"?>
+<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="800" height="600" viewBox="0 0 800 600">
+<rect x="0" y="0" width="800" height="600" fill="#ffffff"/>
+<text x="400" y="28" text-anchor="middle" font-family="sans-serif" font-size="18">cubic &gt; square</text>
+<rect x="70" y="50" width="700" height="500" fill="none" stroke="#000000" stroke-width="1"/>
+<line x1="70.00" y1="550" x2="70.00" y2="556" stroke="#000000" stroke-width="1"/>
+<text x="70.00" y="570" text-anchor="middle" font-family="sans-serif" font-size="12">-1.1</text>
+<line x1="64" y1="550.00" x2="70" y2="550.00" stroke="#000000" stroke-width="1"/>
+<text x="60" y="554.00" text-anchor="end" font-family="sans-serif" font-size="12">-0.575</text>
+<line x1="245.00" y1="550" x2="245.00" y2="556" stroke="#000000" stroke-width="1"/>
+<text x="245.00" y="570" text-anchor="middle" font-family="sans-serif" font-size="12">-0.55</text>
+<line x1="64" y1="425.00" x2="70" y2="425.00" stroke="#000000" stroke-width="1"/>
+<text x="60" y="429.00" text-anchor="end" font-family="sans-serif" font-size="12">-0.1625</text>
+<line x1="420.00" y1="550" x2="420.00" y2="556" stroke="#000000" stroke-width="1"/>
+<text x="420.00" y="570" text-anchor="middle" font-family="sans-serif" font-size="12">0</text>
+<line x1="64" y1="300.00" x2="70" y2="300.00" stroke="#000000" stroke-width="1"/>
+<text x="60" y="304.00" text-anchor="end" font-family="sans-serif" font-size="12">0.25</text>
+<line x1="595.00" y1="550" x2="595.00" y2="556" stroke="#000000" stroke-width="1"/>
+<text x="595.00" y="570" text-anchor="middle" font-family="sans-serif" font-size="12">0.55</text>
+<line x1="64" y1="175.00" x2="70" y2="175.00" stroke="#000000" stroke-width="1"/>
+<text x="60" y="179.00" text-anchor="end" font-family="sans-serif" font-size="12">0.6625</text>
+<line x1="770.00" y1="550" x2="770.00" y2="556" stroke="#000000" stroke-width="1"/>
+<text x="770.00" y="570" text-anchor="middle" font-family="sans-serif" font-size="12">1.1</text>
+<line x1="64" y1="50.00" x2="70" y2="50.00" stroke="#000000" stroke-width="1"/>
+<text x="60" y="54.00" text-anchor="end" font-family="sans-serif" font-size="12">1.075</text>
+<text x="420" y="590" text-anchor="middle" font-family="sans-serif" font-size="14">x</text>
+<polyline points="101.82,72.73 181.36,205.30 260.91,300.00 340.45,356.82 420.00,375.76 499.55,356.82 579.09,300.00 658.64,205.30 738.18,72.73" fill="none" stroke="#cc0000" stroke-width="2"/>
+<polyline points="101.82,527.27 181.36,439.68 260.91,394.70 340.45,378.12 420.00,375.76 499.55,373.39 579.09,356.82 658.64,311.84 738.18,224.24" fill="none" stroke="#000000" stroke-width="2"/>
+<line x1="600" y1="64" x2="628" y2="64" stroke="#cc0000" stroke-width="2"/>
+<text x="636" y="68" font-family="sans-serif" font-size="13">target x^2</text>
+<line x1="600" y1="84" x2="628" y2="84" stroke="#000000" stroke-width="2"/>
+<text x="636" y="88" font-family="sans-serif" font-size="13">a &lt; b &amp; c</text>
+</svg>
+"""
+
+
+def test_a_plot_keeps_its_bytes():
+    # the canvas, margins, ticks, curves and legend all sit at fixed places
+    x = np.arange(-4.0, 5.0) / 4
+    doc = render_line_plot(
+        x, [("target x^2", x**2, "#cc0000"), ("a < b & c", x**3 / 2, "#000000")], title="cubic > square"
+    )
+    assert doc.splitlines() == GOLDEN_DOC.splitlines()

@@ -1,4 +1,6 @@
 import ctypes
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -9,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import qubitfit.chemotaxis as chemotaxis_mod
 import qubitfit.circuit as circuit_mod
+import qubitfit.fileio as fileio_mod
 from qubitfit import CircuitParams, run_reproduction
 
 
@@ -49,6 +52,28 @@ def reproduction_report(tmp_path_factory):
     by the acceptance criteria and the effectiveness tests."""
     out = tmp_path_factory.mktemp("reproduction")
     return run_reproduction(out, seed=42)
+
+
+def fill_disk_halfway(monkeypatch, name_prefix: str = "") -> None:
+    """Fail every ``fileio`` write to a file whose name starts with
+    ``name_prefix`` as a full disk would: ENOSPC after half of the text is
+    written. Other files open as usual."""
+
+    def half_then_full(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        if not os.path.basename(file).startswith(name_prefix):
+            return fh
+        write = fh.write
+
+        def fail(text):
+            write(text[: len(text) // 2])
+            fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device", file)
+
+        fh.write = fail
+        return fh
+
+    monkeypatch.setattr(fileio_mod, "open", half_then_full, raising=False)
 
 
 def start_at(monkeypatch, params: CircuitParams) -> None:

@@ -25,7 +25,7 @@ from qubitfit.fileio import (
     write_trace_csv,
 )
 
-from conftest import random_params
+from conftest import fill_disk_halfway, random_params
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -237,22 +237,9 @@ def test_writers_replace_the_file_with_lf_text(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(WRITERS))
 def test_a_write_that_fails_partway_keeps_the_old_file(name, tmp_path, monkeypatch):
-    # the disk fills after half of the text is written
-    def half_then_full(file, *args, **kwargs):
-        fh = open(file, *args, **kwargs)
-        write = fh.write
-
-        def fail(text):
-            write(text[: len(text) // 2])
-            fh.flush()
-            raise OSError(errno.ENOSPC, "No space left on device", file)
-
-        fh.write = fail
-        return fh
-
     path = tmp_path / "artifact"
     path.write_bytes(b"keep\n")
-    monkeypatch.setattr(fileio_mod, "open", half_then_full, raising=False)
+    fill_disk_halfway(monkeypatch)
     with pytest.raises(OSError) as info:
         WRITERS[name](path)
     assert info.value.errno == errno.ENOSPC

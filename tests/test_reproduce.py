@@ -1,12 +1,10 @@
 import errno
-import os
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import qubitfit.fileio as fileio_mod
 from qubitfit import get_target, make_grid, performance_index, published_params
 from qubitfit import reproduce
 from qubitfit.reproduce import (
@@ -19,6 +17,8 @@ from qubitfit.reproduce import (
     run_reproduction,
     write_comparison_plot,
 )
+
+from conftest import fill_disk_halfway
 
 
 def test_published_params_are_the_reference_values():
@@ -124,23 +124,9 @@ def test_report_bytes_do_not_depend_on_wall_time(tmp_path, monkeypatch):
 
 def test_a_report_write_that_fails_partway_keeps_the_old_report(tmp_path, monkeypatch):
     # the disk fills halfway through report.md, after every other artifact is written
-    def half_then_full_for_the_report(file, *args, **kwargs):
-        fh = open(file, *args, **kwargs)
-        if not os.path.basename(file).startswith("report.md"):
-            return fh
-        write = fh.write
-
-        def fail(text):
-            write(text[: len(text) // 2])
-            fh.flush()
-            raise OSError(errno.ENOSPC, "No space left on device", file)
-
-        fh.write = fail
-        return fh
-
     path = tmp_path / "report.md"
     path.write_bytes(b"keep\n")
-    monkeypatch.setattr(fileio_mod, "open", half_then_full_for_the_report, raising=False)
+    fill_disk_halfway(monkeypatch, "report.md")
     with pytest.raises(OSError) as info:
         run_reproduction(tmp_path, seed=3, iterations=20, restarts=1)
     assert info.value.errno == errno.ENOSPC

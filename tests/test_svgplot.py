@@ -96,8 +96,8 @@ def test_write_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-# every coordinate and tick label here is exact in binary or rounds far from a
-# digit boundary, so these bytes are the same on every platform
+# the inputs are exact in binary and each coordinate is computed by single IEEE
+# double operations, so these bytes are the same on every platform
 GOLDEN_DOC = """\
 <?xml version="1.0" encoding="UTF-8" standalone="no"?>
 <svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="800" height="600" viewBox="0 0 800 600">

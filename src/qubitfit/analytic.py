@@ -15,14 +15,18 @@ probabilities, which regroups into the two-frequency trig expansion
     c0 + c1*sin(x - theta1) + c2*sin(x - theta2)
        + c3*sin(x - theta1)*sin(x - theta2)
 
-with c-coefficients that are fixed +/- combinations of g/4. Substituting
-the degree-3 Maclaurin series of sin(x - theta),
+with c-coefficients that are fixed +/- combinations of g/4. The
+angle-sum identities turn this into the Fourier series
+w0 + w1 sin x + w2 cos x + w3 sin 2x + w4 cos 2x (Schuld, Sweke & Meyer,
+PRA 103, 032430, 2021) with weights, t standing for theta,
 
-    sin(x - theta) = -sin t + cos t * x + (sin t / 2) * x^2 - (cos t / 6) * x^3 + O(x^4),
+    w0 = c0 + c3 cos(t1 - t2) / 2,    w1 = c1 cos t1 + c2 cos t2,
+    w2 = -(c1 sin t1 + c2 sin t2),    w3 = -c3 sin(t1 + t2) / 2,
+    w4 = -c3 cos(t1 + t2) / 2.
 
-and truncating products at degree 3 yields a cubic polynomial in x whose
-coefficients are smooth functions of all six parameters. The truncation
-error is O(x^4), which the test suite checks by a step-doubling ratio.
+The cubic keeps the terms of degree <= 3 of the five harmonics; its
+truncation error is O(x^4), which the test suite checks by a
+step-doubling ratio.
 
 This module is an independent route to the same numbers as the simulator
 in :mod:`qubitfit.circuit`; the two are cross-checked against each other
@@ -63,26 +67,12 @@ class CubicPoly:
 
 
 def closed_form_expectation(params: CircuitParams | np.ndarray, x):
-    """Circuit output as a product of single-qubit probabilities.
+    """Circuit output as the five-term Fourier series of the module docstring.
 
-    Evaluates sum_b g_b * p_{b_first}(x - theta2) * p_{b_second}(x - theta1)
-    with p0(phi) = (1 - sin phi)/2 and p1(phi) = (1 + sin phi)/2. Accepts
-    scalar or array x and a batch of rows; returns a ``float`` for one
-    point, an array otherwise.
+    Accepts scalar or array x and a batch of rows; returns a ``float`` for
+    one point, an array otherwise.
     """
-    # one entry per name for a single row, one column per name for a batch
-    theta1, theta2, g0, g1, g2, g3 = _columns(_param_rows(params))
-    x = np.asarray(x, dtype=float)
-    s_first = np.sin(x - theta2)
-    s_second = np.sin(x - theta1)
-    p_first0, p_first1 = 0.5 * (1.0 - s_first), 0.5 * (1.0 + s_first)
-    p_second0, p_second1 = 0.5 * (1.0 - s_second), 0.5 * (1.0 + s_second)
-    out = (
-        g0 * p_first0 * p_second0
-        + g1 * p_first0 * p_second1
-        + g2 * p_first1 * p_second0
-        + g3 * p_first1 * p_second1
-    )
+    out = _fourier_series(np.asarray(x, dtype=float), *_fourier_weights(params))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -97,39 +87,46 @@ def _trig_coefficients(g0, g1, g2, g3) -> tuple:
     )
 
 
-def _sin_shift_series(theta):
-    # degree-3 Maclaurin coefficients of sin(x - theta) in x
-    s, c = np.sin(theta), np.cos(theta)
-    return (-s, c, 0.5 * s, -c / 6.0)
-
-
-def _truncated_product(p: tuple, q: tuple) -> tuple:
-    # product of two cubics, keeping terms up to degree 3; the coefficients
-    # are floats or arrays of one coefficient per row
-    return tuple(
-        sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(4)
+def _fourier_weights(params) -> tuple:
+    # w0..w4 of w0 + w1 sin x + w2 cos x + w3 sin 2x + w4 cos 2x from the
+    # angle-sum identities, one sin and one cos per angle; the entries are
+    # numpy scalars or arrays of one per row
+    theta1, theta2, *g = _columns(_param_rows(params))
+    c0, c1, c2, c3 = _trig_coefficients(*g)
+    s1, k1, s2, k2 = np.sin(theta1), np.cos(theta1), np.sin(theta2), np.cos(theta2)
+    return (
+        c0 + c3 * (k1 * k2 + s1 * s2) / 2.0,
+        c1 * k1 + c2 * k2,
+        -(c1 * s1 + c2 * s2),
+        -c3 * (s1 * k2 + k1 * s2) / 2.0,
+        -c3 * (k1 * k2 - s1 * s2) / 2.0,
     )
+
+
+def _fourier_series(x, w0, w1, w2, w3, w4):
+    # the series at x, with sin 2x and cos 2x formed from sin x and cos x
+    s, c = np.sin(x), np.cos(x)
+    return w0 + w1 * s + w2 * c + w3 * (2.0 * s * c) + w4 * (c * c - s * s)
+
+
+def _maclaurin(w0, w1, w2, w3, w4) -> tuple:
+    # a0..a3: the terms of degree <= 3 of 1, sin x, cos x, sin 2x and cos 2x
+    return (w0 + w2 + w4, w1 + 2.0 * w3, -(w2 / 2.0 + 2.0 * w4), -(w1 + 8.0 * w3) / 6.0)
 
 
 def cubic_coefficients(params: CircuitParams | np.ndarray) -> CubicPoly | np.ndarray:
     """Degree-3 Maclaurin coefficients of the circuit output about x = 0.
 
-    Computed symbolically from the trig regrouping: each sin(x - theta)
-    is replaced by its cubic series and the cross product is truncated at
-    degree 3. The result equals the true Maclaurin coefficients
+    The terms of degree <= 3 of the weighted harmonics, summed as
+    a0 = w0 + w2 + w4, a1 = w1 + 2 w3, a2 = -(w2 / 2 + 2 w4) and
+    a3 = -(w1 + 8 w3) / 6. They equal the true Maclaurin coefficients
     f^(k)(0) / k! for k <= 3, since discarded terms have degree >= 4.
 
     One point gives a :class:`CubicPoly` of floats; a batch of rows
     ``(*B, 6)`` gives the ``(*B, 4)`` array of rows ``[a0, a1, a2, a3]``.
     """
     v = _param_rows(params)
-    theta1, theta2, *g = _columns(v)
-    c0, c1, c2, c3 = _trig_coefficients(*g)
-    q1 = _sin_shift_series(theta1)
-    q2 = _sin_shift_series(theta2)
-    cross = _truncated_product(q1, q2)
-    a = [c1 * q1[k] + c2 * q2[k] + c3 * cross[k] for k in range(4)]
-    a[0] = a[0] + c0
+    a = _maclaurin(*_fourier_weights(v))
     if v.ndim == 1:
         return CubicPoly(*(float(a_k) for a_k in a))
     return np.stack(a, axis=-1)
@@ -141,9 +138,8 @@ def cubic_remainder(params: CircuitParams | np.ndarray, x):
     A ``float`` for one point, an array for a batch of rows. Meaningful
     as a diagnostic for |x| <= 1; behaves as O(x^4) near 0.
     """
-    a = cubic_coefficients(params)
-    poly = a if isinstance(a, CubicPoly) else CubicPoly(*_columns(a))
+    w = _fourier_weights(params)
+    a0, a1, a2, a3 = _maclaurin(*w)
     x = np.asarray(x, dtype=float)
-    out = abs(closed_form_expectation(params, x) - poly(x))
+    out = abs(_fourier_series(x, *w) - (a0 + x * (a1 + x * (a2 + x * a3))))
     return float(out) if np.ndim(out) == 0 else out
-

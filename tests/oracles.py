@@ -216,6 +216,32 @@ def fourier_cubic(theta1, theta2, g) -> np.ndarray:
     ], axis=-1)
 
 
+def fourier_basis(xs) -> np.ndarray:
+    """The columns [1, sin x, cos x, sin 2x, cos 2x] over ``xs``: ``xs.shape + (5,)``."""
+    xs = np.asarray(xs, dtype=float)
+    return np.stack([np.ones_like(xs), np.sin(xs), np.cos(xs), np.sin(2 * xs), np.cos(2 * xs)], axis=-1)
+
+
+def fourier_weights(theta1, theta2, g) -> np.ndarray:
+    """The weights of the output in :func:`fourier_basis`, as :func:`fourier_optimum` states them: ``(..., 5)``.
+
+    With c = H g / 4, each angle sum and difference taken directly:
+
+        w = (c0 + c3 cos(t1 - t2) / 2, c1 cos t1 + c2 cos t2,
+             -(c1 sin t1 + c2 sin t2), -c3 sin(t1 + t2) / 2, -c3 cos(t1 + t2) / 2)
+
+    ``theta1``, ``theta2`` and the rows ``g`` ``(..., 4)`` broadcast.
+    """
+    c0, c1, c2, c3 = np.moveaxis(np.asarray(g, dtype=float) @ _H.T / 4.0, -1, 0)
+    return np.stack([
+        c0 + c3 * np.cos(theta1 - theta2) / 2.0,
+        c1 * np.cos(theta1) + c2 * np.cos(theta2),
+        -(c1 * np.sin(theta1) + c2 * np.sin(theta2)),
+        -c3 * np.sin(theta1 + theta2) / 2.0,
+        -c3 * np.cos(theta1 + theta2) / 2.0,
+    ], axis=-1)
+
+
 def fourier_optimum(values, xs):
     """The certified global minimum of J over the inputs ``xs``: ``(J*, params, cond)``.
 
@@ -236,8 +262,7 @@ def fourier_optimum(values, xs):
     the params carry rounding of order ``cond * eps``. theta1 has a family
     of minimizers, so compare J, never the params.
     """
-    xs = np.asarray(xs, dtype=float)
-    basis = np.stack([np.ones_like(xs), np.sin(xs), np.cos(xs), np.sin(2 * xs), np.cos(2 * xs)], axis=-1)
+    basis = fourier_basis(xs)
     w = np.linalg.lstsq(basis, values, rcond=None)[0]
     r = values - basis @ w
     rho = math.hypot(w[3], w[4])

@@ -15,13 +15,15 @@ from qubitfit import (
     cubic_remainder,
     prepare_state,
 )
-from qubitfit.analytic import _sin_shift_series, _trig_coefficients
+from qubitfit.analytic import _fourier_weights, _trig_coefficients
 
 from conftest import random_params
 from oracles import (
     amplitude_quadratic_coefficients,
     fd_maclaurin,
+    fourier_basis,
     fourier_cubic,
+    fourier_weights,
     trig_evaluate,
     trig_form,
 )
@@ -55,6 +57,21 @@ def test_closed_form_agrees_with_simulator(theta1, theta2, g, x):
     assert math.isclose(
         closed_form_expectation(params, x), circuit_expectation(params, x), abs_tol=1e-12
     )
+
+
+def test_closed_form_equals_the_fourier_form_to_rounding():
+    # the simulator cross-check holds the closed form to 1e-12; this holds it
+    # to a few ulps of sum |g| against the basis [1, sin x, cos x, sin 2x,
+    # cos 2x] times weights taken from the angle sums and differences directly
+    rng = np.random.default_rng(2031)
+    rows = np.concatenate(
+        [rng.uniform(-np.pi, np.pi, (20000, 2)), rng.uniform(-2.0, 2.0, (20000, 4))], axis=1
+    )
+    xs = rng.uniform(-np.pi, np.pi, 20000)
+    w = fourier_weights(rows[:, 0], rows[:, 1], rows[:, 2:])
+    want = (fourier_basis(xs) * w).sum(axis=-1)
+    bound = 4 * np.finfo(float).eps * np.abs(rows[:, 2:]).sum(axis=1)
+    assert np.all(np.abs(closed_form_expectation(rows, xs) - want) <= bound)
 
 
 def test_closed_form_accepts_arrays():
@@ -142,17 +159,17 @@ def test_cubic_equals_the_fourier_form_to_rounding():
     assert np.all(np.abs(poly.as_array() - want[0]) <= bound[0])
 
 
-def test_the_cubic_cross_term_sums_in_the_derivation_order():
+def test_the_cubic_sums_the_harmonics_in_the_documented_order():
     # the rounding bounds above cannot see the order of a sum, but `coeffs`
-    # prints every bit: the degree-3 cross term is sum_i q1[i] * q2[3 - i] in
-    # ascending i, with q1 the series of sin(x - theta1); the reverse order
-    # changes the last bit of a3 on about a quarter of these rows
+    # prints every bit: each a_k sums the degree-k terms of the weighted
+    # harmonics in the order the cubic_coefficients docstring writes them;
+    # w0 + w4 + w2 for a0 changes its last bit on 30 % of these rows
     rows = np.random.default_rng(77).uniform(-np.pi, np.pi, (2000, 6))
-    theta1, theta2, *g = rows.T
-    q1, q2 = _sin_shift_series(theta1), _sin_shift_series(theta2)
-    _, c1, c2, c3 = _trig_coefficients(*g)
-    cross = q1[0] * q2[3] + q1[1] * q2[2] + q1[2] * q2[1] + q1[3] * q2[0]
-    assert np.array_equal(cubic_coefficients(rows)[:, 3], c1 * q1[3] + c2 * q2[3] + c3 * cross)
+    w0, w1, w2, w3, w4 = _fourier_weights(rows)
+    want = np.stack(
+        [w0 + w2 + w4, w1 + 2.0 * w3, -(w2 / 2.0 + 2.0 * w4), -(w1 + 8.0 * w3) / 6.0], axis=-1
+    )
+    assert np.array_equal(cubic_coefficients(rows), want)
 
 
 def test_remainder_matches_direct_recomputation():

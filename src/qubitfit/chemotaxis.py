@@ -10,10 +10,10 @@ draw of its own seeded generator, so results are reproducible bit for bit.
 A fit builds one kernel :class:`~qubitfit.circuit.Workspace` for one row,
 batch shape ``()``, that holds the target values, shared by its restarts,
 which run one after another: each evaluation is one ``performance_index``
-call, which checks the candidate and runs it, overwriting every buffer it
-reads. Fresh proposals come from a block of normals, and the candidates
-for the rest of a block come from one add, made again after an accepted
-step or a shrink of the step scale.
+call, which checks the candidate and runs it through the workspace's
+``index``, overwriting every buffer it reads. Fresh proposals come from a
+block of normals, and the candidates for the rest of a block come from one
+add, made again after an accepted step or a shrink of the step scale.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitParams, Workspace
-from .objective import TargetFunction, max_pointwise_error, performance_index
+from .objective import TargetFunction, _grid_points, max_pointwise_error, performance_index
 
 N_DIM = 6
 # rows of standard normals drawn at once for the proposals of one restart
@@ -166,12 +166,13 @@ def optimize(target: TargetFunction, grid: np.ndarray, cfg: OptimizerConfig) -> 
     # one evaluation of the target serves every evaluation of the index; a
     # target that is not finite there, or whose squares overflow, gives every
     # start a non-finite index, so it is rejected by name before any restart
-    grid = np.asarray(grid, dtype=float)
+    grid = _grid_points(grid)
     values = target.fn(grid)
-    if not math.isfinite(np.dot(values, values)):
-        raise ValueError(
-            f"target {target.id!r} overflows the performance index on the grid with x0={grid[-1]}"
-        )
+    with np.errstate(over="ignore"):
+        if not math.isfinite(np.dot(values, values)):
+            raise ValueError(
+                f"target {target.id!r} overflows the performance index on the grid with x0={grid[-1]}"
+            )
     workspace = Workspace((), grid, values)
     seed = operator.index(cfg.seed)  # a Python int: a numpy integer wraps at seed + r
     runs = [_run_restart(target, grid, workspace, cfg, seed + r) for r in range(cfg.restarts)]

@@ -40,9 +40,11 @@ the float-typed form). Its eight ufunc calls each take operands of one
 shape and write through their output argument. A plain call builds its own
 workspace, so its output is a fresh array, which the caller may overwrite.
 A workspace sums its target values, negated, as a fifth term, so a
-workspace built with them returns the residual: the optimizer builds one
-per fit and passes it to :func:`~qubitfit.objective.performance_index`,
-which calls its bound kernel directly and allocates nothing.
+workspace built with them returns the residual, and its third closure
+sums the residual's squares over the grid, one index per row: the
+optimizer builds one per fit and passes it to
+:func:`~qubitfit.objective.performance_index`, which calls that closure
+directly. This is the one place where the index is summed.
 
 All functions here are pure and all values other than a
 :class:`Workspace` immutable after construction, so concurrent use needs
@@ -130,7 +132,7 @@ class Workspace:
 
     Built once for the batch shape ``B`` of raw rows ``(*B, 6)`` (``()`` for
     one row) and the inputs ``xs``, kept as a float array, it binds the
-    kernel body over its buffers as two closures. Each takes rows ``v`` of
+    kernel body over its buffers as three closures. Each takes rows ``v`` of
     shape ``(*B, 6)``, unchecked, copies them into a float buffer and
     overwrites every buffer it reads, so no value of a call reaches the next:
 
@@ -141,7 +143,13 @@ class Workspace:
       minus the target ``values``, whose negation the sum takes as a fifth
       term: ``-(values - output)`` bit for bit, as rounding to nearest is
       symmetric in sign, but for the sign of a zero or a NaN. Without
-      ``values`` that term is ``-0.0``, and the output keeps every bit.
+      ``values`` that term is ``-0.0``, and the output keeps every bit;
+    - ``index(v)`` returns the sum of the squares of ``expectation(v)``
+      over the last (grid) axis, one per row, as a fresh value: a 0-d one
+      for ``B = ()`` and an input array ``(N,)``, shape ``(m,)`` for rows
+      ``(m, 1, 6)``. Each row's sum has the bytes of ``r.dot(r)`` for its
+      residual ``r``, as the sign of ``r_i`` reaches no product ``r_i * r_i``,
+      and a non-finite row gives a non-finite sum in its own entry only.
 
     The closures hold the buffers, never the workspace, so a dropped
     workspace is freed at once, without the cyclic garbage collector.
@@ -172,7 +180,7 @@ class Workspace:
         summands[4] = np.negative(values)
         out = np.empty(s)
         # closure cells: a call then skips the global and attribute lookups
-        subtract, multiply, add_reduce = np.subtract, np.multiply, np.add.reduce
+        subtract, multiply, add_reduce, matmul = np.subtract, np.multiply, np.add.reduce, np.matmul
         cos, sin, square = np.cos, np.sin, np.square
 
         def amplitudes(v):
@@ -196,7 +204,23 @@ class Workspace:
             add_reduce(summands, 0, None, out, False, _NEG_ZERO)
             return out
 
-        self.amplitudes, self.expectation = amplitudes, expectation
+        # the residual sum of squares over the grid axis, one per row, its reduce
+        # picked here: one row keeps out.dot(out), a batch takes a stack of
+        # (1, N) @ (N, 1) products, each the bytes of its row's dot product
+        if batch:
+            row, column = out[..., None, :], out[..., :, None]
+
+            def index(v):
+                expectation(v)
+                return matmul(row, column)[..., 0, 0]
+        else:
+            dot = out.dot
+
+            def index(v):
+                expectation(v)
+                return dot(out)
+
+        self.amplitudes, self.expectation, self.index = amplitudes, expectation, index
 
 
 def prepare_state(params: CircuitParams | np.ndarray, x) -> np.ndarray:

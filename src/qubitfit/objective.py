@@ -76,6 +76,14 @@ def make_grid(n: int, x0: float) -> np.ndarray:
     return points
 
 
+def _grid_points(grid) -> np.ndarray:
+    """``grid`` as a float64 array, which must have shape ``(N,)`` with N >= 1."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or not grid.size:
+        raise ValueError(f"grid must be a 1-D array of at least one point, got shape {grid.shape}")
+    return grid
+
+
 def performance_index(
     params: CircuitParams | np.ndarray,
     target: TargetFunction,
@@ -91,22 +99,19 @@ def performance_index(
     from a caller that evaluates the index many times on ``grid``, as the
     optimizer does: one check that ``params`` is a ``(6,)`` ``ndarray``
     and ``grid`` the workspace's own ``xs`` array, then one call of its
-    ``expectation``, which allocates nothing and returns the residual, and
-    the residual's dot product with itself, whose sign reaches no product
-    ``r_i * r_i``. Without it, the call takes ``grid`` as a float64 array
-    and builds its own.
+    ``index``. Without it, the call takes ``grid`` as a float64 array of
+    shape ``(N,)`` and builds its own.
     """
     if workspace is None:
-        grid = np.asarray(grid, dtype=float)
+        grid = _grid_points(grid)
         params, workspace = _param_rows(params), Workspace((), grid, target.fn(grid))
     if type(params) is np.ndarray and params.shape == (6,) and grid is workspace.xs:
-        r = workspace.expectation(params)
-        return float(r.dot(r))  # np.dot without its dispatch
+        return float(workspace.index(params))
     raise ValueError("the index takes one raw row, an ndarray of shape (6,), at its workspace's grid points")
 
 
 def max_pointwise_error(params: CircuitParams, target: TargetFunction, grid: np.ndarray) -> float:
     """Worst absolute residual over the grid; its square never exceeds the index."""
-    grid = np.asarray(grid, dtype=float)
+    grid = _grid_points(grid)
     r = target.fn(grid) - circuit_expectation_grid(params, grid)
     return float(np.max(np.abs(r)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,7 +235,9 @@ def test_every_evaluation_is_one_index_call_on_one_workspace(target, n, x0, monk
     # the evaluation contract: a fit builds one workspace, and each of its
     # restarts * (iterations + 1) evaluations is one index call whose one
     # row reaches that workspace and whose J has the bytes of the residual
-    # sum of squares; the trace reads one restart's records
+    # sum of squares; the trace reads one restart's records. Rows are counted
+    # at the workspace's index, the one closure that runs its kernel and sums
+    # the residual, and which calls its expectation closure directly
     grid = make_grid(n, x0)
     values = target.fn(grid)
     real_workspace, real_index = chemotaxis_mod.Workspace, chemotaxis_mod.performance_index
@@ -242,13 +245,13 @@ def test_every_evaluation_is_one_index_call_on_one_workspace(target, n, x0, monk
 
     def recording_workspace(*args):
         ws = real_workspace(*args)
-        expectation = ws.expectation
+        index = ws.index
 
         def recorded(v):
             rows.append(np.array(v, dtype=float).reshape(-1, 6))
-            return expectation(v)
+            return index(v)
 
-        ws.expectation = recorded
+        ws.index = recorded
         built.append(ws)
         return ws
 
@@ -340,6 +343,16 @@ def test_nonfinite_start_raises(monkeypatch):
     monkeypatch.setattr(chemotaxis_mod, "random_vector", lambda rng: np.full(6, np.nan))
     with pytest.raises(ValueError, match=r"^performance index is not finite at the starting point$"):
         optimize(get_target("quadratic"), make_grid(5, 1.0), cfg)
+
+
+def test_a_target_whose_squares_overflow_is_rejected_without_a_warning():
+    # the pre-check's sum overflows to inf by design, which numpy reports as a
+    # RuntimeWarning; the documented outcome is the ValueError alone
+    cfg = OptimizerConfig(iterations=1, restarts=1, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^target 'custom' overflows the performance index on the grid with x0=1\.5$"):
+            optimize(polynomial_target([1e200, 0.0, 1e200]), make_grid(30, 1.5), cfg)
 
 
 def test_overflowing_candidates_are_ordinary_rejections(monkeypatch):

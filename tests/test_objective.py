@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 from fractions import Fraction
 
@@ -249,9 +250,9 @@ def test_a_target_bound_workspace_carries_nothing_from_one_row_to_the_next():
 
 def test_the_index_has_the_bytes_of_the_residual_sum_of_squares():
     # the byte-level oracle for J, built outside the index: r = values - output
-    # from a fresh kernel call, then float(r.dot(r)). The index may form the
-    # residual in any way that gives the same bytes, with or without a
-    # target-bound workspace. A NaN may differ in its sign bit, which no caller reads: the
+    # from a fresh kernel call, then float(r.dot(r)). Workspace.index may form
+    # and sum the residual in any way that gives the same bytes, with or
+    # without a target-bound workspace. A NaN may differ in its sign bit, which no caller reads: the
     # optimizer rejects a NaN index, so no trace stores one
     grid = make_grid(30, 1.5)
     rng = np.random.default_rng(22)
@@ -273,6 +274,65 @@ def test_the_index_has_the_bytes_of_the_residual_sum_of_squares():
                     assert np.float64(got).tobytes() == want or (math.isnan(got) and np.isnan(r.dot(r))), (
                         target.id, v, got, r.dot(r),
                     )
+
+
+@pytest.mark.parametrize("n, x0", [(30, 1.5), (7, 0.5), (57, 2.5)])
+@pytest.mark.parametrize("target_id", [t for t in TARGET_IDS if t != "custom"])
+def test_a_batch_index_has_the_bytes_of_each_row_on_its_own_workspace(target_id, n, x0):
+    # Workspace.index over rows (m, 1, 6) sums the grid axis: one J per row,
+    # each the bytes of the one-row index, a non-finite row spoiling only its
+    # own slot, and without values the sum of the squared outputs
+    grid = make_grid(n, x0)
+    target = get_target(target_id)
+    values = target.fn(grid)
+    one = Workspace((), grid, values)
+    rng = np.random.default_rng(n)
+    nonfinite = workspace_rows()[2:8]
+    for m in (1, 2, 8, 33):
+        rows = np.concatenate([rng.uniform(-np.pi, np.pi, (m, 1, 2)), rng.uniform(-2.0, 2.0, (m, 1, 4))], axis=-1)
+        want = [np.float64(performance_index(row, target, grid, one)).tobytes() for row in rows[:, 0]]
+        batch = Workspace((m, 1), grid, values)
+        got = batch.index(rows)
+        assert got.shape == (m,)
+        assert [np.float64(j).tobytes() for j in got] == want
+        for bad in nonfinite:
+            k = int(rng.integers(m))
+            spoiled = rows.copy()
+            spoiled[k, 0] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = batch.index(spoiled)
+            assert not np.isfinite(got[k])
+            assert [np.float64(j).tobytes() for i, j in enumerate(got) if i != k] == want[:k] + want[k + 1:]
+        outputs = [circuit_expectation_grid(row, grid) for row in rows[:, 0]]
+        got = Workspace((m, 1), grid).index(rows)
+        assert [np.float64(j).tobytes() for j in got] == [np.float64(o.dot(o)).tobytes() for o in outputs]
+
+
+@pytest.mark.parametrize("grid", [np.ones((3, 3)), np.ones((1, 3)), [[0.0], [1.0]], np.array(1.0), 0.5, np.empty(0), []])
+def test_a_grid_must_be_one_axis_of_at_least_one_point(grid):
+    # optimize, the index and the worst error all take grid points of shape
+    # (N,), N >= 1; any other shape is rejected by name, not by numpy
+    params = CircuitParams(0.4, -0.7, np.array([0.5, -1.2, 1.8, -0.3]))
+    cfg = OptimizerConfig(iterations=2, restarts=1, seed=0)
+    message = "^grid must be a 1-D array of at least one point, got shape " + re.escape(str(np.shape(grid))) + "$"
+    for target in (get_target("quadratic"), polynomial_target([1e200, 0.0, 1e200])):
+        for call in (
+            lambda: performance_index(params, target, grid),
+            lambda: performance_index(params.as_vector(), target, grid),
+            lambda: max_pointwise_error(params, target, grid),
+            lambda: optimize(target, grid, cfg),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
+def test_a_one_point_grid_is_a_grid():
+    params = CircuitParams(0.4, -0.7, np.array([0.5, -1.2, 1.8, -0.3]))
+    target = get_target("sigmoid")
+    r = target.fn(0.5) - circuit_expectation_grid(params, 0.5)
+    assert performance_index(params, target, [0.5]) == r * r
+    assert max_pointwise_error(params, target, np.array([0.5])) == abs(r)
+    assert optimize(target, [0.5], OptimizerConfig(iterations=3, restarts=1, seed=0)).evals == 4
 
 
 def test_every_array_form_on_a_target_bound_workspace_has_the_bytes_of_a_fresh_call():

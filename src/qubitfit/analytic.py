@@ -25,8 +25,7 @@ PRA 103, 032430, 2021) with weights, t standing for theta,
     w4 = -c3 cos(t1 + t2) / 2.
 
 The cubic keeps the terms of degree <= 3 of the five harmonics; its
-truncation error is O(x^4), which the test suite checks by a
-step-doubling ratio.
+truncation error is O(x^4), bounded as :func:`cubic_remainder` states.
 
 This module is an independent route to the same numbers as the simulator
 in :mod:`qubitfit.circuit`; the two are cross-checked against each other
@@ -135,8 +134,10 @@ def cubic_coefficients(params: CircuitParams | np.ndarray) -> CubicPoly | np.nda
 def cubic_remainder(params: CircuitParams | np.ndarray, x):
     """|f(x) - P3(x)| where P3 is the cubic truncation about 0.
 
-    A ``float`` for one point, an array for a batch of rows. Meaningful
-    as a diagnostic for |x| <= 1; behaves as O(x^4) near 0.
+    A ``float`` for one point, an array for a batch of rows. As each
+    ``|c_k| <= sum|g| / 4``, ``|f''''| <= |w1| + |w2| + 16 (|w3| + |w4|) <= 5 sum|g|``,
+    and Lagrange's form of the remainder gives
+    ``|f(x) - P3(x)| <= (5/24) x^4 sum|g|``, up to the rounding of f and P3.
     """
     w = _fourier_weights(params)
     a0, a1, a2, a3 = _maclaurin(*w)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitParams, Workspace
-from .objective import TargetFunction, _grid_points, max_pointwise_error, performance_index
+from .circuit import CircuitParams, Workspace, _grid_points
+from .objective import TargetFunction, max_pointwise_error, performance_index
 
 N_DIM = 6
 # rows of standard normals drawn at once for the proposals of one restart
@@ -45,8 +45,9 @@ FAIL_STREAK = 50
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search budget and seed, each an integer (``int`` or ``np.integer``);
-    the defaults are the paper's, which ``reproduce`` and the CLI read from here.
+    """Search budget and seed, each an integer (``int`` or ``np.integer``) stored
+    as an ``int``, so ``seed + r`` cannot wrap; the defaults are the paper's,
+    which ``reproduce`` and the CLI read from here.
 
     Restart r runs on seed ``seed + r``; its starting point is the first
     :func:`random_vector` draw of ``np.random.default_rng(seed + r)``.
@@ -58,14 +59,15 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         try:
-            iterations, restarts, seed = map(operator.index, (self.iterations, self.restarts, self.seed))
+            for name in ("iterations", "restarts", "seed"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
         except TypeError:
             raise ValueError(f"iterations, restarts and seed must be integers, got {self}") from None
-        if iterations < 0:
+        if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if restarts < 1:
+        if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if seed < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
@@ -174,8 +176,7 @@ def optimize(target: TargetFunction, grid: np.ndarray, cfg: OptimizerConfig) -> 
                 f"target {target.id!r} overflows the performance index on the grid with x0={grid[-1]}"
             )
     workspace = Workspace((), grid, values)
-    seed = operator.index(cfg.seed)  # a Python int: a numpy integer wraps at seed + r
-    runs = [_run_restart(target, grid, workspace, cfg, seed + r) for r in range(cfg.restarts)]
+    runs = [_run_restart(target, grid, workspace, cfg, cfg.seed + r) for r in range(cfg.restarts)]
 
     point, j_final, trace = min(runs, key=lambda run: run[1])  # ties: lowest restart
     best = CircuitParams.from_vector(point)
@@ -185,5 +186,5 @@ def optimize(target: TargetFunction, grid: np.ndarray, cfg: OptimizerConfig) -> 
         j_trace=tuple(trace),
         max_error=max_pointwise_error(best, target, grid),
         # one evaluation at the start of each restart and one per iteration
-        evals=operator.index(cfg.restarts) * (operator.index(cfg.iterations) + 1),
+        evals=cfg.restarts * (cfg.iterations + 1),
     )

@@ -122,6 +122,14 @@ def _param_rows(params: CircuitParams | np.ndarray) -> np.ndarray:
     return v
 
 
+def _grid_points(grid) -> np.ndarray:
+    """``grid`` as a float64 array, which must have shape ``(N,)`` with N >= 1."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or not grid.size:
+        raise ValueError(f"grid must be a 1-D array of at least one point, got shape {grid.shape}")
+    return grid
+
+
 def _columns(a: np.ndarray) -> np.ndarray:
     """A view of ``a`` with its last axis in front: rows ``(*B, k)`` as columns ``(k, *B)``."""
     return a.transpose((a.ndim - 1, *range(a.ndim - 1)))
@@ -150,6 +158,7 @@ class Workspace:
       ``(m, 1, 6)``. Each row's sum has the bytes of ``r.dot(r)`` for its
       residual ``r``, as the sign of ``r_i`` reaches no product ``r_i * r_i``,
       and a non-finite row gives a non-finite sum in its own entry only.
+      Over inputs not of shape ``(N,)``, N >= 1, it raises ``ValueError``.
 
     The closures hold the buffers, never the workspace, so a dropped
     workspace is freed at once, without the cyclic garbage collector.
@@ -207,7 +216,10 @@ class Workspace:
         # the residual sum of squares over the grid axis, one per row, its reduce
         # picked here: one row keeps out.dot(out), a batch takes a stack of
         # (1, N) @ (N, 1) products, each the bytes of its row's dot product
-        if batch:
+        if xs.ndim != 1 or not xs.size:
+            def index(v):  # no grid axis to sum: raises the grid check's error
+                _grid_points(xs)
+        elif batch:
             row, column = out[..., None, :], out[..., :, None]
 
             def index(v):

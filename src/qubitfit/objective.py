@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuit import CircuitParams, Workspace, _param_rows, circuit_expectation_grid
+from .circuit import CircuitParams, Workspace, _grid_points, _param_rows, circuit_expectation_grid
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,6 @@ def make_grid(n: int, x0: float) -> np.ndarray:
         raise ValueError(f"grid span 2*x0 must not overflow, got x0={x0}")
     points.setflags(write=False)
     return points
-
-
-def _grid_points(grid) -> np.ndarray:
-    """``grid`` as a float64 array, which must have shape ``(N,)`` with N >= 1."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or not grid.size:
-        raise ValueError(f"grid must be a 1-D array of at least one point, got shape {grid.shape}")
-    return grid
 
 
 def performance_index(

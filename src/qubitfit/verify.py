@@ -5,7 +5,8 @@ Four suites over seeded random draws of (params, x):
 * equivalence   - simulator output vs closed form, 1e-12
 * normalization - unit norm of the state
 * boundedness   - output inside [min(g), max(g)] with 1e-12 slack
-* remainder     - cubic truncation error shrinks ~x^4 under step halving
+* remainder     - cubic truncation error at x = 1e-3 within its Lagrange
+                  bound (5/24) x^4 sum|g|, plus 64 eps sum|g| of rounding
 
 All draws come from one generator, ``np.random.default_rng(seed)``: its
 ``(T, 7)`` block of uniform doubles is mapped by
@@ -33,12 +34,7 @@ from .circuit import circuit_expectation, prepare_state
 EQUIV_TOL = 1e-12
 NORM_TOL = 1e-12
 BOUND_SLACK = 1e-12
-RATIO_LO, RATIO_HI = 4.0, 64.0
-# Below this, the quartic Taylor coefficient is effectively zero for the
-# draw and the step-halving ratio measures higher-order noise, not the
-# O(x^4) law; such draws are skipped. Calibrated on 30k draws: degenerate
-# draws sit below 2e-11, typical draws near 1e-9.
-REMAINDER_FLOOR = 1e-10
+REMAINDER_STEP = 1e-3
 SUITE_NAMES = ("equivalence", "normalization", "boundedness", "remainder")
 
 
@@ -115,15 +111,13 @@ def run_suites(trials: int, seed: int) -> list[SuiteResult]:
         lambda i: f"value {float(sim[i])!r} outside [{float(lo[i])!r}, {float(hi[i])!r}]",
     ))
 
-    # both steps in one call, so the cubic coefficients are computed once
-    r1, r2 = cubic_remainder(rows, np.array([[1e-2], [2e-2]]))
-    # a draw with either remainder below the floor has no measurable
-    # fourth-order signal and is skipped; no division happens for it
-    measured = ~(np.minimum(r1, r2) < REMAINDER_FLOOR)
-    ratio = np.divide(r2, r1, out=np.zeros(trials), where=measured)
+    # Lagrange's bound from the draw's own g (see cubic_remainder), plus 64 eps sum|g|
+    # for the rounding of f and P3, whose terms sum to at most 13/8 sum|g|; NaN fails
+    rem = cubic_remainder(rows, REMAINDER_STEP)
+    bound = (5 / 24 * REMAINDER_STEP**4 + 64 * np.finfo(float).eps) * reduce(np.add, np.abs(rows.T[2:]))
     results.append(_collect(
-        "remainder", seed, measured & ~((RATIO_LO <= ratio) & (ratio <= RATIO_HI)),
-        lambda i: f"remainder ratio {ratio[i]:.3f} outside [{RATIO_LO:g}, {RATIO_HI:g}]",
+        "remainder", seed, ~(rem <= bound),
+        lambda i: f"remainder {float(rem[i])!r} above its bound {float(bound[i])!r}",
     ))
 
     return results

@@ -197,6 +197,16 @@ def test_remainder_scales_as_fourth_power():
     assert checked >= 80
 
 
+def test_remainder_is_within_its_lagrange_bound():
+    # (5/24) x^4 sum|g| from cubic_remainder's docstring, plus 64 eps sum|g|
+    # for rounding, which the bound dwarfs at |x| >= 0.1
+    rng = np.random.default_rng(17)
+    rows = np.column_stack([rng.uniform(-np.pi, np.pi, (20000, 2)), rng.uniform(-2.0, 2.0, (20000, 4))])
+    gsum = np.abs(rows[:, 2:]).sum(axis=1)
+    for x in (1e-3, 1e-2, 0.1, 1.0, -1.5):
+        assert np.all(cubic_remainder(rows, x) <= (5 / 24 * x**4 + 64 * 2.0**-52) * gsum), x
+
+
 def test_amplitude_series_matches_finite_differences():
     rng = np.random.default_rng(17)
     for _ in range(25):

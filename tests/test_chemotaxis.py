@@ -52,6 +52,16 @@ def test_config_validation():
         assert type(got.evals) is int
 
 
+def test_config_stores_python_ints():
+    cfg = OptimizerConfig(np.int64(3), np.int8(2), np.uint64(7))
+    assert [type(v) for v in (cfg.iterations, cfg.restarts, cfg.seed)] == [int] * 3
+    assert repr(cfg) == "OptimizerConfig(iterations=3, restarts=2, seed=7)"
+    grid = make_grid(30, 1.5)
+    got, want = (optimize(get_target("gaussian"), grid, c) for c in (cfg, OptimizerConfig(3, 2, 7)))
+    assert got.best.as_vector().tobytes() == want.best.as_vector().tobytes()
+    assert (got.j_final, got.j_trace, got.max_error, got.evals) == (want.j_final, want.j_trace, want.max_error, want.evals)
+
+
 def test_random_vector_is_deterministic_and_in_range():
     def draw(s):
         return random_vector(np.random.default_rng(s))

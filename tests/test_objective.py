@@ -311,14 +311,17 @@ def test_a_batch_index_has_the_bytes_of_each_row_on_its_own_workspace(target_id,
 @pytest.mark.parametrize("grid", [np.ones((3, 3)), np.ones((1, 3)), [[0.0], [1.0]], np.array(1.0), 0.5, np.empty(0), []])
 def test_a_grid_must_be_one_axis_of_at_least_one_point(grid):
     # optimize, the index and the worst error all take grid points of shape
-    # (N,), N >= 1; any other shape is rejected by name, not by numpy
+    # (N,), N >= 1; any other shape is rejected by name, not by numpy, also
+    # by the index of a caller's workspace over those points
     params = CircuitParams(0.4, -0.7, np.array([0.5, -1.2, 1.8, -0.3]))
     cfg = OptimizerConfig(iterations=2, restarts=1, seed=0)
     message = "^grid must be a 1-D array of at least one point, got shape " + re.escape(str(np.shape(grid))) + "$"
     for target in (get_target("quadratic"), polynomial_target([1e200, 0.0, 1e200])):
+        ws = Workspace((), grid, target.fn(np.asarray(grid, dtype=float)))
         for call in (
             lambda: performance_index(params, target, grid),
             lambda: performance_index(params.as_vector(), target, grid),
+            lambda: performance_index(params.as_vector(), target, ws.xs, ws),
             lambda: max_pointwise_error(params, target, grid),
             lambda: optimize(target, grid, cfg),
         ):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qubitfit.analytic as analytic
 import qubitfit.verify as verify_mod
 from qubitfit.chemotaxis import map_uniform
 from qubitfit.verify import SUITE_NAMES, run_suites
@@ -106,6 +108,10 @@ def test_all_suites_pass_on_correct_build():
         assert r.trials == 200
         assert r.failures == 0
         assert r.detail == "ok"
+        # a result is a value: hashable, and no caller can rewrite its verdict
+        hash(r)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.passed = False
 
 
 def test_all_suites_pass_over_a_sweep_of_seeds():
@@ -189,6 +195,7 @@ def test_failure_seed_is_reproducible(monkeypatch):
 
 @pytest.mark.parametrize("factor, error", [
     (1.001, "4.006e-03"),  # each amplitude pair scaled by 1.001: |psi|^2 = 1.001^4
+    (0.999, "3.994e-03"),  # a norm below 1 fails as one above does
     (math.nan, "nan"),
 ])
 def test_unnormalized_states_fail_the_normalization_suite(monkeypatch, factor, error):
@@ -203,7 +210,7 @@ def test_unnormalized_states_fail_the_normalization_suite(monkeypatch, factor, e
     assert not results["equivalence"].passed
     assert results["equivalence"].failures == 40
     assert results["remainder"].passed
-    # a NaN output lies outside every range; 1.001 stays inside on these draws
+    # a NaN output lies outside every range; 1.001 and 0.999 stay inside on these draws
     assert results["boundedness"].passed == (not math.isnan(factor))
 
 
@@ -241,19 +248,20 @@ def test_first_failure_of_a_partly_skewed_closed_form(monkeypatch):
     assert (eq.failures, eq.detail) == (failures, detail)
 
 
+def remainder_bound(g, h=1e-3):
+    """The remainder suite's stated bound for one draw's g at step h."""
+    return (5 / 24 * h**4 + 64 * 2.0**-52) * float(abs(g[0]) + abs(g[1]) + abs(g[2]) + abs(g[3]))
+
+
 def test_first_failure_of_a_partly_skewed_remainder(monkeypatch):
-    # the larger step's remainder grows 100x on draws with theta1 > 0
+    # the remainder grows 1000x on draws with theta1 > 0
     real = verify_mod.cubic_remainder
-    skew = lambda v, x: real(v, x) * np.where((v[..., 0] > 0) & (np.asarray(x) == 2e-2), 100.0, 1.0)
+    skew = lambda v, x: real(v, x) * np.where(v[..., 0] > 0, 1000.0, 1.0)
     monkeypatch.setattr(verify_mod, "cubic_remainder", skew)
 
     def check(v, _x):
-        r1, r2 = skew(v, 1e-2), skew(v, 2e-2)
-        if min(r1, r2) < verify_mod.REMAINDER_FLOOR:
-            return None
-        ratio = r2 / r1
-        ok = verify_mod.RATIO_LO <= ratio <= verify_mod.RATIO_HI
-        return None if ok else f"remainder ratio {ratio:.3f} outside [4, 64]"
+        r, bound = float(skew(v, 1e-3)), remainder_bound(v[2:])
+        return None if r <= bound else f"remainder {r!r} above its bound {bound!r}"
 
     failures, detail = per_draw_failures(60, 8, check)
     assert 0 < failures < 60 and not detail.startswith("first failure at draw 0 of seed 8:")
@@ -263,20 +271,16 @@ def test_first_failure_of_a_partly_skewed_remainder(monkeypatch):
 
 def test_each_suite_passes_at_its_stated_bound_and_fails_one_ulp_past_it(monkeypatch):
     # the bounds the module docstring and the messages state: 1e-12 between
-    # simulator and closed form, 1e-12 slack outside [min(g), max(g)], a
-    # remainder ratio in [4, 64], and draws under the 1e-10 floor skipped
-    up, down = (lambda v: np.nextafter(v, np.inf)), (lambda v: np.nextafter(v, 0.0))
+    # simulator and closed form, and 1e-12 slack outside [min(g), max(g)]
+    up = lambda v: np.nextafter(v, np.inf)
     sim = np.array([1e-12, -1e-12, up(1e-12), -up(1e-12), 0.0, 0.0])
-    # ratios 4, 64, 1 at the floor, just under 4, just over 64, 1 under the floor
-    r1 = np.array([2.0**-30, 2.0**-30, 1e-10, 2.0**-30, 2.0**-30, down(1e-10)])
-    r2 = np.array([2.0**-28, 2.0**-24, 1e-10, down(2.0**-28), up(2.0**-24), down(1e-10)])
-    # g = 0: the closed form is 0 and min(g) = max(g) = 0; the angles take no
-    # part in the range, and draws 2 and 3, just outside it, lie inside theirs
+    # g = 0: the closed form and the remainder are 0 and min(g) = max(g) = 0;
+    # the angles take no part in the range, and draws 2 and 3, just outside
+    # it, lie inside theirs
     rows = np.zeros((6, 6))
     rows[2, :2], rows[3, :2] = 1.0, -1.0
     monkeypatch.setattr(verify_mod, "_draws", lambda trials, seed: (rows, np.zeros(6)))
     monkeypatch.setattr(verify_mod, "circuit_expectation", lambda rows, xs: sim)
-    monkeypatch.setattr(verify_mod, "cubic_remainder", lambda rows, x: np.stack([r1, r2]))
     got = {r.name: (r.failures, r.detail) for r in run_suites(6, 0)}
     assert got == {
         "equivalence": (2, "first failure at draw 2 of seed 0: |sim - closed| = 1.000e-12"),
@@ -284,20 +288,73 @@ def test_each_suite_passes_at_its_stated_bound_and_fails_one_ulp_past_it(monkeyp
         "boundedness": (
             2, f"first failure at draw 2 of seed 0: value {float(up(1e-12))!r} outside [0.0, 0.0]"
         ),
-        "remainder": (3, "first failure at draw 2 of seed 0: remainder ratio 1.000 outside [4, 64]"),
+        "remainder": (0, "ok"),
     }
 
 
-def test_remainder_failure_names_the_bounds_the_check_reads(monkeypatch):
-    # the message is built from RATIO_LO and RATIO_HI, so moving a bound
-    # moves the text with it
-    monkeypatch.setattr(verify_mod, "RATIO_LO", 0.5)
-    monkeypatch.setattr(verify_mod, "RATIO_HI", 8.0)
-    r = np.ones(5)
-    monkeypatch.setattr(verify_mod, "cubic_remainder", lambda rows, x: np.stack([1e-6 * r, 1.6e-5 * r]))
-    rem = _suite("remainder", 5, 0)
+def patch_remainder(monkeypatch, g_rows, remainders):
+    """Draws with the given g columns and angles (0.5, -1.5), whose remainder
+    at any step is ``remainders``; returns the list of steps asked for."""
+    rows = np.array([[0.5, -1.5, *g] for g in g_rows])
+    steps = []
+
+    def remainder(v, x):
+        assert v is rows
+        steps.append(x)
+        return np.array(remainders)
+
+    monkeypatch.setattr(verify_mod, "_draws", lambda trials, seed: (rows, np.zeros(len(rows))))
+    monkeypatch.setattr(verify_mod, "cubic_remainder", remainder)
+    return steps
+
+
+def test_the_remainder_passes_at_its_bound_and_fails_one_ulp_past_it(monkeypatch):
+    # (5/24 h^4 + 64 eps) sum|g| at h = 1e-3, from the draw's own g; every
+    # draw is checked, a g = 0 draw against a bound of 0, and NaN fails
+    unit, four = (0.25, -0.25, 0.25, -0.25), (1.0, 1.0, -1.0, 1.0)
+    c = remainder_bound(unit)
+    assert remainder_bound(four) == 4 * c
+    steps = patch_remainder(
+        monkeypatch,
+        [unit, unit, four, four, (0.0,) * 4, (0.0,) * 4, (0.5, -1.5, 2.0, 0.0)],
+        [c, np.nextafter(c, 1.0), 4 * c, np.nextafter(4 * c, 1.0), 0.0, 5e-324, np.nan],
+    )
+    rem = _suite("remainder", 7, 0)
+    assert steps == [1e-3]
     assert (rem.failures, rem.detail) == (
-        5, "first failure at draw 0 of seed 0: remainder ratio 16.000 outside [0.5, 8]"
+        4, f"first failure at draw 1 of seed 0: remainder {float(np.nextafter(c, 1.0))!r} above its bound {c!r}"
+    )
+
+
+def test_a_draw_with_no_quartic_term_is_checked(monkeypatch):
+    # g = (1, 1, 1, 1) makes the output the constant 1, so the true remainder
+    # is 0; a small remainder there is no less a fault, and is not skipped
+    row = np.array([0.5, -1.5, 1.0, 1.0, 1.0, 1.0])
+    assert verify_mod.cubic_remainder(row, 1e-3) == 0.0
+    patch_remainder(monkeypatch, [(1.0,) * 4], [5e-11])
+    rem = _suite("remainder", 1, 0)
+    assert (rem.failures, rem.detail) == (
+        1, f"first failure at draw 0 of seed 0: remainder 5e-11 above its bound {remainder_bound((1.0,) * 4)!r}"
+    )
+
+
+def test_a_cubic_with_a3s_sign_flipped_fails_the_remainder_suite(monkeypatch):
+    real = analytic._maclaurin
+    monkeypatch.setattr(analytic, "_maclaurin", lambda *w: (*real(*w)[:3], -real(*w)[3]))
+    results = {r.name: r for r in run_suites(1000, 42)}
+    assert results["remainder"].failures > 990
+    assert all(results[name].passed for name in ("equivalence", "normalization", "boundedness"))
+
+
+def test_remainder_failure_names_the_bounds_the_check_reads(monkeypatch):
+    # the step and the bound are read from REMAINDER_STEP when the suite
+    # runs, so moving the step moves the bound and the text with it
+    monkeypatch.setattr(verify_mod, "REMAINDER_STEP", 0.5)
+    steps = patch_remainder(monkeypatch, [(0.25, -0.25, 0.25, -0.25)] * 5, [1.0] * 5)
+    rem = _suite("remainder", 5, 0)
+    assert steps == [0.5]
+    assert (rem.failures, rem.detail) == (
+        5, f"first failure at draw 0 of seed 0: remainder 1.0 above its bound {remainder_bound((0.25, -0.25, 0.25, -0.25), 0.5)!r}"
     )
 
 

@@ -19,12 +19,11 @@ add, made again after an accepted step or a shrink of the step scale.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitParams, Workspace, _grid_points
+from .circuit import CircuitParams, Workspace, _count, _grid_points
 from .objective import TargetFunction, max_pointwise_error, performance_index
 
 N_DIM = 6
@@ -58,17 +57,8 @@ class OptimizerConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        try:
-            for name in ("iterations", "restarts", "seed"):
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-        except TypeError:
-            raise ValueError(f"iterations, restarts and seed must be integers, got {self}") from None
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        for name, least in (("iterations", 0), ("restarts", 1), ("seed", 0)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), least))
 
 
 @dataclass(frozen=True)

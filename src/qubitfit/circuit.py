@@ -54,6 +54,7 @@ no synchronization as long as each workspace serves one caller.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +129,18 @@ def _grid_points(grid) -> np.ndarray:
     if grid.ndim != 1 or not grid.size:
         raise ValueError(f"grid must be a 1-D array of at least one point, got shape {grid.shape}")
     return grid
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value``, which must be an integer (``int`` or ``np.integer``), as an
+    ``int`` of at least ``least``: the check of every count and seed."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _columns(a: np.ndarray) -> np.ndarray:

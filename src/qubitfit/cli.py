@@ -82,14 +82,7 @@ def _load_config(path: str | None) -> dict:
         if not os.path.lexists(CONFIG_NAME):
             return {}
         path = CONFIG_NAME
-    else:
-        _reject_nul(path, "bad config file")
-    try:
-        config = read_config(path)
-    except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
-    except ParamsFileError as exc:
-        raise CliError(f"bad config file {path}: {exc}") from exc
+    config = _read_file("config file", path, read_config)
     unknown = sorted(set(config) - set(OPTIONS))
     if unknown:
         raise CliError(f"unknown key(s) in config file {path}: {', '.join(unknown)}")
@@ -151,7 +144,8 @@ def _check_out_dir(out: Path) -> None:
     _reject_nul(out, "cannot create output directory")
     existing = out.absolute()
     try:
-        while not existing.exists():
+        # a dangling link exists, though exists() follows it: mkdir would fail on it
+        while not (existing.exists() or existing.is_symlink()):
             existing = existing.parent
     except OSError as exc:
         raise CliError(f"cannot create output directory {out}: {exc}") from exc
@@ -161,23 +155,15 @@ def _check_out_dir(out: Path) -> None:
         raise CliError(f"cannot create output directory {out}: {existing} is not writable")
 
 
-def _make_out_dir(out: Path) -> Path:
-    _reject_nul(out, "cannot create output directory")
+def _read_file(what: str, path: str, read):
+    """``read(path)``, with a file that cannot be read or parsed a usage error naming it."""
+    _reject_nul(path, f"cannot read {what}")
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        return read(path)
     except OSError as exc:
-        raise CliError(f"cannot create output directory {out}: {exc}") from exc
-    return out
-
-
-def _load_params(path: str):
-    _reject_nul(path, "cannot read parameter file")
-    try:
-        return read_params_file(path)
-    except OSError as exc:
-        raise CliError(f"cannot read parameter file {path}: {exc}") from exc
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
     except ParamsFileError as exc:
-        raise CliError(f"bad parameter file {path}: {exc}") from exc
+        raise CliError(f"bad {what} {path}: {exc}") from exc
 
 
 def _write_run(out: Path, target, grid, params) -> None:
@@ -194,9 +180,10 @@ def cmd_fit(args) -> int:
     cfg = OptimizerConfig(iterations=args.iterations, restarts=args.restarts, seed=args.seed)
     result = optimize(target, grid, cfg)
 
-    out = _make_out_dir(args.out_dir)
+    out = args.out_dir
     stem = target.id
     try:
+        out.mkdir(parents=True, exist_ok=True)
         write_params_file(out / f"{stem}.params", result.best)
         _write_run(out, target, grid, result.best)
         write_trace_csv(out / f"{stem}_trace.csv", result.j_trace)
@@ -212,16 +199,18 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params = _load_params(args.params_file)
+    params = _read_file("parameter file", args.params_file, read_params_file)
     target = _make_target(args)
+    _check_out_dir(args.out_dir)
     grid = make_grid(args.n, args.x0)
     j = performance_index(params, target, grid)
     eps = max_pointwise_error(params, target, grid)
     if not (math.isfinite(j) and math.isfinite(eps)):
         raise CliError(f"performance index is not finite (J={j!r}, max_error={eps!r})")
 
-    out = _make_out_dir(args.out_dir)
+    out = args.out_dir
     try:
+        out.mkdir(parents=True, exist_ok=True)
         _write_run(out, target, grid, params)
     except OSError as exc:
         raise CliError(f"cannot write outputs to {out}: {exc}") from exc
@@ -231,7 +220,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    params = _load_params(args.params_file)
+    params = _read_file("parameter file", args.params_file, read_params_file)
     a = cubic_coefficients(params).as_array()
     lines = [f"{name}={float(value)!r}" for name, value in zip(("a0", "a1", "a2", "a3"), a)]
     if not np.isfinite(a).all():

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuit import CircuitParams, Workspace, _grid_points, _param_rows, circuit_expectation_grid
+from .circuit import CircuitParams, Workspace, _count, _grid_points, _param_rows, circuit_expectation_grid
 
 
 @dataclass(frozen=True)
@@ -52,13 +51,8 @@ def get_target(target_id: str, poly: Sequence[float] | None = None) -> TargetFun
 
 def make_grid(n: int, x0: float) -> np.ndarray:
     """The read-only float64 array of n uniformly spaced points from -x0 to +x0
-    inclusive; ``n`` must be an integer and ``x0`` a real number, taken as a float."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"grid point count n must be an integer, got n={n!r}") from None
-    if n < 2:
-        raise ValueError(f"grid needs at least 2 points, got n={n}")
+    inclusive; ``n`` must be an integer of at least 2 and ``x0`` a real number, taken as a float."""
+    n = _count("n", n, 2)
     # as a float, since linspace builds points of x0's type; a huge int is not finite
     try:
         half = float(x0) if isinstance(x0, numbers.Real) else math.nan
@@ -91,7 +85,9 @@ def performance_index(
     from a caller that evaluates the index many times on ``grid``, as the
     optimizer does: one check that ``params`` is a ``(6,)`` ``ndarray``
     and ``grid`` the workspace's own ``xs`` array, then one call of its
-    ``index``. Without it, the call takes ``grid`` as a float64 array of
+    ``index``. The target values are then the workspace's and ``target``
+    is not read: a workspace built for another target gives that target's
+    index. Without it, the call takes ``grid`` as a float64 array of
     shape ``(N,)`` and builds its own.
     """
     if workspace is None:

@@ -21,7 +21,6 @@ order.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .analytic import closed_form_expectation, cubic_remainder
 from .chemotaxis import N_DIM, map_uniform
-from .circuit import circuit_expectation, prepare_state
+from .circuit import _count, circuit_expectation, prepare_state
 
 EQUIV_TOL = 1e-12
 NORM_TOL = 1e-12
@@ -72,17 +71,11 @@ def _collect(name: str, seed: int, failed: np.ndarray, why) -> SuiteResult:
 def run_suites(trials: int, seed: int) -> list[SuiteResult]:
     """Run all four suites on the same ``trials`` draws.
 
-    ``trials`` and ``seed`` must be integers (``int`` or ``np.integer``);
-    anything else, a float included, raises ``ValueError``.
+    ``trials`` (at least 1) and ``seed`` (at least 0) must be integers
+    (``int`` or ``np.integer``); anything else, a float included, raises
+    ``ValueError``.
     """
-    try:
-        trials, seed = operator.index(trials), operator.index(seed)
-    except TypeError:
-        raise ValueError(f"trials and seed must be integers, got {trials!r} and {seed!r}") from None
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    trials, seed = _count("trials", trials, 1), _count("seed", seed, 0)
     rows, xs = _draws(trials, seed)
     results = []
 

@@ -16,6 +16,7 @@ from qubitfit import (
     prepare_state,
 )
 from qubitfit.analytic import _fourier_weights, _trig_coefficients
+from qubitfit.chemotaxis import map_uniform
 
 from conftest import random_params
 from oracles import (
@@ -205,6 +206,16 @@ def test_remainder_is_within_its_lagrange_bound():
     gsum = np.abs(rows[:, 2:]).sum(axis=1)
     for x in (1e-3, 1e-2, 0.1, 1.0, -1.5):
         assert np.all(cubic_remainder(rows, x) <= (5 / 24 * x**4 + 64 * 2.0**-52) * gsum), x
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 5])
+def test_one_remainder_call_equals_one_call_per_step(seed):
+    # a (2, 1) column of steps broadcasts against a (T, 6) batch of rows
+    rows = map_uniform(np.random.default_rng(seed).random((2000, 6)))
+    both = cubic_remainder(rows, np.array([[1e-2], [2e-2]]))
+    assert both.shape == (2, 2000)
+    assert both[0].tobytes() == cubic_remainder(rows, 1e-2).tobytes()
+    assert both[1].tobytes() == cubic_remainder(rows, 2e-2).tobytes()
 
 
 def test_amplitude_series_matches_finite_differences():

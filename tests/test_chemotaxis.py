@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -39,9 +40,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(seed=-1)
     # a setting that is not an integer is rejected here, not deep in a restart
-    for bad in (dict(iterations=10.0), dict(restarts=2.0), dict(seed=1.5), dict(seed="3")):
-        with pytest.raises(ValueError, match="must be integers"):
-            OptimizerConfig(**bad)
+    for name, bad in (("iterations", 10.0), ("restarts", 2.0), ("seed", 1.5), ("seed", "3")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            OptimizerConfig(**{name: bad})
     # numpy integers are integers, and restart seeds past their range do
     # not wrap: restart r runs on seed + r as a Python int
     grid = make_grid(30, 1.5)

@@ -392,7 +392,7 @@ def test_a_target_that_overflows_is_named_on_one_line(argv, err, tmp_path, monke
     # a library ValueError is its own message
     (["verify", "--trials", "0"], "error: trials must be >= 1, got 0\n"),
     (["reproduce", "--restarts", "0", "--iterations", "5"], "error: restarts must be >= 1, got 0\n"),
-    (["verify", "--trials", "5", "--seed", "-1"], "error: seed must be a non-negative integer, got -1\n"),
+    (["verify", "--trials", "5", "--seed", "-1"], "error: seed must be >= 0, got -1\n"),
     # a mapping in the CLI adds what the library cannot know
     (["fit", "--target", "custom", "--poly", "1,,2"], "error: bad polynomial coefficients: '1,,2'\n"),
     (["coeffs", "missing.params"], "error: cannot read parameter file missing.params: "
@@ -490,7 +490,7 @@ def test_fit_rejects_an_out_dir_under_a_regular_file_before_training(
     assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
-@pytest.mark.parametrize("case", ["under an executable file", "name too long", "not writable"])
+@pytest.mark.parametrize("case", ["under an executable file", "name too long", "not writable", "a dangling link"])
 def test_an_out_dir_that_cannot_be_created_stops_fit_before_training(case, tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli_mod, "optimize", lambda *args: calls.append(args))
@@ -503,6 +503,8 @@ def test_an_out_dir_that_cannot_be_created_stops_fit_before_training(case, tmp_p
         out = blocker / "out"
     elif case == "name too long":
         out = tmp_path / ("a" * 300) / "out"  # Path.exists() raises, it does not say False
+    elif case == "a dangling link":
+        out.symlink_to(tmp_path / "nowhere")  # Path.exists() says False, and mkdir fails
     else:
         # the access check, as an unprivileged user would meet it
         monkeypatch.setattr(cli_mod.os, "access", lambda path, mode: False)

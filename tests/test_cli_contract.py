@@ -186,7 +186,7 @@ REPRODUCE = ["reproduce", "--iterations", "5", "--restarts", "1"]
         (REPRODUCE, f"out_dir={NUL_PATH}\n", "cannot create output directory"),
         (["coeffs", NUL_PATH], None, "cannot read parameter file"),
         (["eval", NUL_PATH, "--target", "quadratic"], None, "cannot read parameter file"),
-        (["verify", "--trials", "5", "--config", NUL_PATH], None, "bad config file"),
+        (["verify", "--trials", "5", "--config", NUL_PATH], None, "cannot read config file"),
     ],
 )
 def test_a_nul_byte_in_a_path_is_one_error_line_naming_it_before_any_training(

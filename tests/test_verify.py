@@ -91,15 +91,6 @@ def test_neighbouring_seeds_share_no_draw(seed):
     assert {r.tobytes() for r in rows}.isdisjoint(r.tobytes() for r in next_rows)
 
 
-@pytest.mark.parametrize("seed", [0, 2**64 - 5])
-def test_one_remainder_call_equals_one_call_per_step(seed):
-    rows, _ = verify_mod._draws(2000, seed)
-    both = verify_mod.cubic_remainder(rows, np.array([[1e-2], [2e-2]]))
-    assert both.shape == (2, 2000)
-    assert both[0].tobytes() == verify_mod.cubic_remainder(rows, 1e-2).tobytes()
-    assert both[1].tobytes() == verify_mod.cubic_remainder(rows, 2e-2).tobytes()
-
-
 def test_all_suites_pass_on_correct_build():
     results = run_suites(200, seed=1)
     assert tuple(r.name for r in results) == SUITE_NAMES
@@ -130,8 +121,10 @@ def test_trials_must_be_positive():
 
 @pytest.mark.parametrize("trials, seed", [(10, 1.5), (10.0, 1), (10, "1"), (10, None)])
 def test_trials_and_seed_must_be_integers(trials, seed):
-    # a float seed must not be truncated to a neighbouring seed
-    with pytest.raises(ValueError, match="must be integers"):
+    # a float seed must not be truncated to a neighbouring seed; the first
+    # value that is not an integer is named
+    name, value = ("seed", seed) if type(trials) is int else ("trials", trials)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
         run_suites(trials, seed)
 
 

@@ -245,6 +245,8 @@ def cmd_reproduce(args) -> int:
     try:
         report = run_reproduction(args.out_dir, seed=args.seed, iterations=args.iterations,
                                   restarts=args.restarts)
+    except ChildProcessError as exc:  # a retraining process could not start or died
+        raise CliError(str(exc)) from exc
     except OSError as exc:
         raise CliError(f"cannot write outputs to {args.out_dir}: {exc}") from exc
     print(report.table_path.read_text(encoding="utf-8"))

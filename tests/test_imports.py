@@ -15,7 +15,9 @@ import qubitfit
 
 SRC = Path(qubitfit.__file__).resolve().parents[1]
 
-UNUSED = ("xml", "urllib", "http", "email", "ssl", "socket", "zipfile", "importlib.resources")
+# reproduce forks with os alone: no process pool
+UNUSED = ("xml", "urllib", "http", "email", "ssl", "socket", "zipfile", "importlib.resources",
+          "multiprocessing", "concurrent")
 
 
 def _added_modules(module: str) -> list[str]:
@@ -44,3 +46,6 @@ def test_library_import_loads_no_cli():
     added = _added_modules("qubitfit")
     assert "argparse" not in added
     assert "qubitfit.cli" not in added
+    # nor for a process pool, nor for signal: reproduce forks with os alone
+    # and loads signal only to kill a child after a failure
+    assert [m for m in added if m.split(".")[0] in ("multiprocessing", "concurrent", "signal")] == []

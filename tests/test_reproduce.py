@@ -1,4 +1,7 @@
 import errno
+import os
+import signal
+import time
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -7,6 +10,7 @@ import pytest
 
 from qubitfit import get_target, make_grid, performance_index, published_params
 from qubitfit import reproduce
+from qubitfit.cli import main as cli_main
 from qubitfit.reproduce import (
     EXPERIMENT_TARGETS,
     PLOT_POINTS,
@@ -134,3 +138,150 @@ def test_a_report_write_that_fails_partway_keeps_the_old_report(tmp_path, monkey
     assert path.read_bytes() == b"keep\n"
     artifacts = {f"{t}{suffix}" for t in EXPERIMENT_TARGETS for suffix in (".params", ".svg", "_published.svg")}
     assert {p.name for p in tmp_path.iterdir()} == artifacts | {"report.md"}
+
+
+# Retraining forks one child per target after the first on a host with two
+# or more usable CPUs, and runs in process on one. The tests below force
+# each side by patching the CPU count, so they run the same on any host.
+
+def force_cpus(monkeypatch, cpus: int) -> list[int]:
+    """Make run_reproduction see ``cpus`` usable CPUs; returns the list of pids os.fork returns."""
+    monkeypatch.setattr(reproduce, "_usable_cpus", lambda: cpus)
+    forks: list[int] = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(reproduce.os, "fork", counted_fork)
+    return forks
+
+
+def fail_target(monkeypatch, target_id: str, fail) -> None:
+    """Run ``fail()`` in place of the optimizer for ``target_id``; the other targets train as usual."""
+    optimize = reproduce.optimize
+
+    def patched(target, grid, cfg):
+        if target.id == target_id:
+            fail()
+        return optimize(target, grid, cfg)
+
+    monkeypatch.setattr(reproduce, "optimize", patched)
+
+
+def no_sigmoid():
+    raise ValueError("no sigmoid")
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fit_bits(fit):
+    return (
+        fit.best.as_vector().tobytes(),
+        fit.best.g.flags.writeable,
+        fit.j_final.hex(),
+        tuple((it, j.hex()) for it, j in fit.j_trace),
+        fit.evals,
+        fit.max_error.hex(),
+    )
+
+
+def test_forked_retraining_equals_in_process_retraining_byte_for_byte(tmp_path, monkeypatch):
+    runs = {}
+    for cpus in (2, 1):
+        forks = force_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        report = run_reproduction(out, seed=8, iterations=60, restarts=2)
+        # two children on two CPUs; on one, os.fork is never called
+        assert len(forks) == (2 if cpus == 2 else 0)
+        assert list(report.fits) == list(EXPERIMENT_TARGETS)
+        for fit in report.fits.values():
+            assert fit.evals == 2 * (60 + 1)
+        runs[cpus] = (
+            {t: fit_bits(fit) for t, fit in report.fits.items()},
+            {p.name: p.read_bytes() for p in sorted(out.iterdir())},
+            report.rows,
+        )
+    assert runs[2] == runs[1]
+    assert len(runs[2][1]) == 10  # report.md and three params, svg and published svg
+    assert_no_child_left()
+
+
+def test_a_childs_value_error_reaches_the_caller_and_no_child_is_left(tmp_path, monkeypatch):
+    forks = force_cpus(monkeypatch, 2)
+    fail_target(monkeypatch, "sigmoid", no_sigmoid)
+    with pytest.raises(ValueError, match="^no sigmoid$"):
+        run_reproduction(tmp_path, seed=3, iterations=20, restarts=1)
+    assert len(forks) == 2
+    assert_no_child_left()
+    assert not (tmp_path / "report.md").exists()
+
+
+def test_a_killed_child_is_a_one_line_error_naming_its_target(tmp_path, monkeypatch):
+    force_cpus(monkeypatch, 2)
+    fail_target(monkeypatch, "gaussian", kill_self)
+    with pytest.raises(ChildProcessError) as info:
+        run_reproduction(tmp_path, seed=3, iterations=20, restarts=1)
+    assert str(info.value) == f"retraining gaussian: its process was ended by signal {int(signal.SIGKILL)}"
+    assert_no_child_left()
+
+
+def test_a_fork_that_fails_is_a_one_line_error_and_the_started_child_is_reaped(tmp_path, monkeypatch):
+    forks = force_cpus(monkeypatch, 2)
+    fork = reproduce.os.fork
+
+    def second_fails():
+        if forks:  # gaussian's child has started
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(reproduce.os, "fork", second_fails)
+    with pytest.raises(ChildProcessError) as info:
+        run_reproduction(tmp_path, seed=3, iterations=20, restarts=1)
+    assert str(info.value) == (
+        f"retraining sigmoid: cannot start its process: [Errno {errno.EAGAIN}] Resource temporarily unavailable")
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_failure_in_the_parent_kills_and_reaps_the_running_children(tmp_path, monkeypatch):
+    # the children would train for a minute; the first target, in this
+    # process, is interrupted at once
+    force_cpus(monkeypatch, 2)
+    optimize = reproduce.optimize
+
+    def patched(target, grid, cfg):
+        if target.id == EXPERIMENT_TARGETS[0]:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return optimize(target, grid, cfg)
+
+    monkeypatch.setattr(reproduce, "optimize", patched)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_reproduction(tmp_path, seed=3, iterations=20, restarts=1)
+    assert time.perf_counter() - t0 < 30
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fail, message", [
+    (no_sigmoid, "error: no sigmoid\n"),
+    (kill_self, f"error: retraining sigmoid: its process was ended by signal {int(signal.SIGKILL)}\n"),
+])
+def test_reproduce_cli_with_a_failing_child_exits_2_with_one_stderr_line(
+    fail, message, tmp_path, monkeypatch, capsys
+):
+    force_cpus(monkeypatch, 2)
+    fail_target(monkeypatch, "sigmoid", fail)
+    rc = cli_main(["reproduce", "--iterations", "20", "--restarts", "1", "--out-dir", str(tmp_path)])
+    assert (rc, capsys.readouterr()) == (2, ("", message))
+    assert_no_child_left()

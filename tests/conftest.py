@@ -14,6 +14,16 @@ import qubitfit.circuit as circuit_mod
 import qubitfit.fileio as fileio_mod
 from qubitfit import CircuitParams, run_reproduction
 
+SRC = Path(circuit_mod.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
+
+
+def child_env(**overrides) -> dict:
+    """``os.environ`` plus ``overrides`` for a fresh interpreter that finds the
+    imported copy of the package, and these helpers, ahead of ``PYTHONPATH``."""
+    path = [str(SRC), str(TESTS)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **overrides)
+
 
 def blas_core() -> str:
     """The core whose kernels numpy's bundled OpenBLAS runs here, or ``"unknown"``; never raises.

@@ -2,6 +2,8 @@ import codecs
 import errno
 import inspect
 import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -27,10 +29,11 @@ from qubitfit import (
 from qubitfit.cli import main
 from qubitfit.fileio import read_config
 
-from conftest import scale_amplitudes
+from conftest import child_env, scale_amplitudes
 
 
 BUNDLED_QUADRATIC = str(Path(qubitfit.__file__).parent / "data" / "paper" / "quadratic.params")
+BUNDLED_SIGMOID = str(Path(qubitfit.__file__).parent / "data" / "paper" / "sigmoid.params")
 
 
 @pytest.fixture(autouse=True)
@@ -767,3 +770,36 @@ def test_a_malformed_config_value_fails_every_subcommand_that_reads_config(
     )
     assert resolved == {}
     assert main(["coeffs", BUNDLED_QUADRATIC]) == 0  # reads no config file
+
+
+def run_cli_child(argv, cwd, env=None, **kwargs):
+    """``python -m qubitfit.cli`` in a fresh interpreter, where the CLI is the first to load numpy."""
+    return subprocess.run([sys.executable, "-m", "qubitfit.cli", *argv], cwd=cwd, env=env or child_env(),
+                          stderr=subprocess.PIPE, timeout=120, **kwargs)
+
+
+def test_eval_prints_the_same_bytes_on_one_cpu_as_on_all(tmp_path):
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    if len(cpus) < 2:
+        pytest.skip(f"{len(cpus) or 'unknown'} usable CPU(s): no second CPU to split a dot product onto")
+    # the index over 20001 points is one dot product, which OpenBLAS splits
+    # across as many threads as it has CPUs; an inherited thread count must not matter
+    env = child_env(OPENBLAS_NUM_THREADS=str(len(cpus)))
+    argv = ["eval", BUNDLED_SIGMOID, "--target", "sigmoid", "--n", "20001"]
+    outs = []
+    for name, narrow in (("one", lambda: os.sched_setaffinity(0, {min(cpus)})), ("all", None)):
+        done = run_cli_child(argv + ["--out-dir", name], tmp_path, env, stdout=subprocess.PIPE, preexec_fn=narrow)
+        assert (done.returncode, done.stderr) == (0, b"")
+        outs.append(done.stdout)
+    assert outs[0].startswith(b"J=")
+    assert outs[0] == outs[1]
+
+
+def test_a_reader_that_left_ends_in_exit_141_without_a_traceback(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader left before the CLI wrote a byte
+    try:
+        done = run_cli_child(["coeffs", BUNDLED_QUADRATIC], tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")

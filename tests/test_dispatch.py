@@ -11,24 +11,19 @@ ufuncs are pinned here: the gaussian and sigmoid targets go through
 """
 
 import json
-import os
 import platform
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import qubitfit
+from conftest import child_env
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 except ImportError:  # numpy 1.x
     from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-SRC = Path(qubitfit.__file__).resolve().parents[1]
-TESTS = Path(__file__).resolve().parent
 
 CHILD = """
 import hashlib, json
@@ -80,9 +75,7 @@ def _levels():
 
 
 def _run_child(off):
-    env = {k: v for k, v in os.environ.items() if k not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
-    path = [str(SRC), str(TESTS)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env["PYTHONPATH"] = os.pathsep.join(path)
+    env = {k: v for k, v in child_env().items() if k not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
     if off:
         env["NPY_DISABLE_CPU_FEATURES"] = " ".join(off)
     done = subprocess.run(
